@@ -51,9 +51,7 @@ from .scanner import (
     Run,
     ScanReport,
     interval_stat,
-    monotone_runs,
     scan,
-    violation_set,
 )
 
 __version__ = "0.1.0"
@@ -69,7 +67,6 @@ __all__ = [
     "complete_homogeneous", "counterexample_family", "eval_M", "leading_ratio",
     "m0_catalan", "normalized_value", "series_coeff", "vanishing_order",
     "WalkCounts", "class_function_check", "enumerate_counts", "oracle_compare",
-    "IntervalStat", "MValue", "Run", "ScanReport", "interval_stat",
-    "monotone_runs", "scan", "violation_set",
+    "IntervalStat", "MValue", "Run", "ScanReport", "interval_stat", "scan",
     "__version__",
 ]

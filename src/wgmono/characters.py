@@ -271,7 +271,11 @@ def cache_load(d: int, path: str | os.PathLike) -> CharacterTable | None:
 def load_or_build(d: int, *, jobs: int = 1, use_cache: bool = True,
                   cache_dir: str | os.PathLike | None = None,
                   max_degree: int = DEFAULT_MAX_DEGREE) -> CharacterTable:
-    """Table for degree d, through the cache when one is configured."""
+    """Table for degree d, through the cache when one is configured.
+
+    The cache is optional: a failed write warns and the built table is
+    returned anyway.
+    """
     path = default_cache_path(d, cache_dir) if use_cache else None
     if path is not None:
         table = cache_load(d, path)
@@ -279,5 +283,8 @@ def load_or_build(d: int, *, jobs: int = 1, use_cache: bool = True,
             return table
     table = build_table(d, jobs=jobs, max_degree=max_degree)
     if path is not None:
-        cache_store(table, path)
+        try:
+            cache_store(table, path)
+        except OSError as exc:
+            warnings.warn(f"not caching character table at {path}: {exc}")
     return table

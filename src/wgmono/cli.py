@@ -22,8 +22,9 @@ import sys
 from . import selftest
 from .characters import DEFAULT_MAX_DEGREE, load_or_build
 from .errors import DomainError
-from .exact import factorial, format_rat, int_pow, parse_rat, rat
-from .genfun import counterexample_family, eval_M, leading_ratio, series_coeff
+from .exact import format_rat, parse_rat, rat
+from .genfun import (counterexample_family, eval_M, leading_ratio, normalizer,
+                     series_coeff)
 from .partitions import Partition
 from .scanner import interval_stat, scan
 from .walks import enumerate_counts
@@ -42,7 +43,7 @@ def build_parser() -> argparse.ArgumentParser:
     def common(p, cache=True):
         p.add_argument("--format", choices=("json", "csv", "text"), default="text")
         p.add_argument("--jobs", type=int, default=_default_jobs(),
-                       help="worker count (1 is the deterministic reference path)")
+                       help="worker count for table builds (scans run in one process)")
         if cache:
             p.add_argument("--cache", choices=("on", "off"), default="on",
                            help="use WG_CACHE_DIR for character tables")
@@ -96,7 +97,7 @@ def _cmd_eval(args) -> int:
     x = parse_rat(args.x) if args.x is not None else rat(1, d)
     table = _table_for(d, args)
     value = eval_M(alpha, x, table)
-    normalized = value * rat(int_pow(factorial(d), 2), int_pow(d, d))
+    normalized = value * normalizer(d)
     shown = normalized if args.normalized else value
     if args.format == "json":
         doc = {"alpha": str(alpha), "x": format_rat(x),

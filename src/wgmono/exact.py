@@ -6,9 +6,9 @@ everywhere: denominator strictly positive, numerator and denominator
 coprime, equal values have identical representation.  Strict inequality
 of values is therefore decidable by exact comparison, never by floats.
 
-Text forms: integers are optionally-signed decimal, rationals are
-``"N/D"`` in lowest terms with ``D > 0`` (``format_rat`` always prints
-the denominator, so the integer one renders as ``"1/1"``).
+Text form: rationals are ``"N/D"`` in lowest terms with ``D > 0``
+(``format_rat`` always prints the denominator, so the integer one
+renders as ``"1/1"``).
 """
 
 from __future__ import annotations
@@ -17,11 +17,7 @@ import math
 import re
 from fractions import Fraction
 
-ExactInt = int
-ExactRat = Fraction
-
 _RAT_RE = re.compile(r"^([+-]?\d+)(?:/(\d+))?$")
-_INT_RE = re.compile(r"^[+-]?\d+$")
 
 
 def rat(n: int, d: int = 1) -> Fraction:
@@ -73,13 +69,3 @@ def parse_rat(text: str) -> Fraction:
 
 def format_rat(q: Fraction) -> str:
     return f"{q.numerator}/{q.denominator}"
-
-
-def parse_int(text: str) -> int:
-    if _INT_RE.match(text.strip()) is None:
-        raise ValueError(f"not an integer: {text!r}")
-    return int(text)
-
-
-def format_int(n: int) -> str:
-    return str(n)

@@ -7,17 +7,30 @@ transposition walks is the character sum
         / product over cells of  h * (1 - c*x)
 
 with h the hook length and c the content of the cell.  All evaluation
-is exact rational; poles 1 - c*x = 0 are caller errors (the natural
-domain is 0 < x < 1/(d-1), which contains none).
+is exact; poles 1 - c*x = 0 are caller errors (the natural domain is
+0 < x < 1/(d-1), which contains none).
+
+Evaluation runs in integers over one common denominator.  For reduced
+x = p/q, shape lambda contributes q^d / D_lambda with
+D_lambda = H_lambda * prod over cells (q - c*p), so with L the lcm of
+the D_lambda
+
+    M_alpha(x) = (q^d / L) * sum over lambda of chi(lambda, alpha) * (L / D_lambda).
+
+``table_weights`` computes the positive scale q^d / L and the integer
+weights L / D_lambda once per point; a value is then one integer dot
+product, and a ``Fraction`` appears only for the final result.
 
 ``normalized_value`` rescales the value at the distinguished point
-x = 1/d by (d!)^2 / d^d, which turns the walk series into the compact
-fractions the scanner reports.
+x = 1/d by ``normalizer(d)`` = (d!)^2 / d^d, which turns the walk series
+into the compact fractions the scanner reports.
 """
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
+from operator import mul
 
 from .characters import CharacterTable
 from .errors import DegreeMismatchError, PoleError
@@ -31,19 +44,32 @@ def _check_degree(alpha: Partition, table: CharacterTable) -> None:
             f"partition of {alpha.degree} against table of degree {table.degree}")
 
 
-def table_weights(table: CharacterTable, x: Fraction) -> list[Fraction]:
-    """Per-shape weights 1 / prod(h * (1 - c*x)), in table order."""
-    weights = []
+def normalizer(d: int) -> Fraction:
+    """Rescale factor (d!)^2 / d^d for values at x = 1/d."""
+    return rat(int_pow(factorial(d), 2), int_pow(d, d))
+
+
+def table_weights(table: CharacterTable, x: Fraction) -> tuple[Fraction, list[int]]:
+    """Scale q^d / L and integer weights L / D_lambda, in table order.
+
+    The weight of shape lambda times the scale is 1 / prod(h * (1 - c*x)).
+    The scale is positive, so comparing weighted integer sums compares
+    the values they stand for.
+    """
+    x = Fraction(x)
+    p, q = x.numerator, x.denominator
+    denoms = []
     for lam in table.order:
         stats = cell_stats(lam)
-        denom = Fraction(stats.hook_product)
+        denom = stats.hook_product
         for c in stats.contents:
-            factor = 1 - c * x
+            factor = q - c * p
             if factor == 0:
                 raise PoleError(c, x)
             denom *= factor
-        weights.append(1 / denom)
-    return weights
+        denoms.append(denom)
+    lcm = math.lcm(*denoms)
+    return Fraction(int_pow(q, table.degree), lcm), [lcm // denom for denom in denoms]
 
 
 def eval_M(alpha, x, table: CharacterTable) -> Fraction:
@@ -55,20 +81,14 @@ def eval_M(alpha, x, table: CharacterTable) -> Fraction:
     """
     a = as_partition(alpha)
     _check_degree(a, table)
-    x = Fraction(x)
-    column = table.column(a)
-    total = Fraction(0)
-    for chi, w in zip(column, table_weights(table, x)):
-        if chi:
-            total += chi * w
-    return total
+    scale, weights = table_weights(table, x)
+    return scale * sum(map(mul, table.column(a), weights))
 
 
 def normalized_value(alpha, table: CharacterTable) -> Fraction:
     """Value at x = 1/d rescaled by (d!)^2 / d^d."""
     d = table.degree
-    raw = eval_M(alpha, rat(1, d), table)
-    return raw * rat(int_pow(factorial(d), 2), int_pow(d, d))
+    return eval_M(alpha, rat(1, d), table) * normalizer(d)
 
 
 def complete_homogeneous(values, r: int) -> int:
@@ -91,22 +111,23 @@ def series_coeff(alpha, r: int, table: CharacterTable) -> int:
     """Number of r-step monotone walks reaching cycle type alpha.
 
     Extracted from the character sum by expanding each shape's
-    1 / prod(1 - c*x) into complete homogeneous sums of the contents.
+    1 / prod(1 - c*x) into complete homogeneous sums of the contents;
+    with d!/H_lambda = f^lambda the sum is an integer over d!.
     """
     a = as_partition(alpha)
     _check_degree(a, table)
     if r < 0:
         raise ValueError(f"negative length {r}")
-    column = table.column(a)
-    total = Fraction(0)
-    for chi, lam in zip(column, table.order):
+    fact = factorial(a.degree)
+    total = 0
+    for chi, lam in zip(table.column(a), table.order):
         if not chi:
             continue
         stats = cell_stats(lam)
-        total += Fraction(chi * complete_homogeneous(stats.contents, r),
-                          stats.hook_product)
-    assert total.denominator == 1, f"non-integer walk count for {a}, r={r}"
-    count = total.numerator
+        f_lam = fact // stats.hook_product
+        total += chi * f_lam * complete_homogeneous(stats.contents, r)
+    count, rem = divmod(total, fact)
+    assert rem == 0, f"non-integer walk count for {a}, r={r}"
     assert count >= 0, f"negative walk count for {a}, r={r}"
     return count
 

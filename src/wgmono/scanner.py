@@ -15,21 +15,20 @@ from __future__ import annotations
 import csv
 import io
 import json
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import mul
 
 from .characters import CharacterTable, load_or_build
 from .errors import DomainError
-from .exact import factorial, format_rat, int_pow, rat
-from .genfun import table_weights
+from .exact import format_rat, rat
+from .genfun import normalizer, table_weights
 from .partitions import Partition, as_partition
 
 
 @dataclass(frozen=True)
 class MValue:
     alpha: Partition
-    x: Fraction
     value: Fraction
 
 
@@ -51,14 +50,7 @@ class ScanReport:
 
     def normalizer(self) -> Fraction:
         """Rescale factor (d!)^2 / d^d applied for display."""
-        return rat(int_pow(factorial(self.degree), 2), int_pow(self.degree, self.degree))
-
-    def value_of(self, alpha) -> Fraction:
-        a = as_partition(alpha)
-        for mv in self.values:
-            if mv.alpha == a:
-                return mv.value
-        raise DomainError(f"{a} is not a partition of {self.degree}")
+        return normalizer(self.degree)
 
     def to_json(self, intervals: tuple["IntervalStat", ...] = ()) -> str:
         norm = self.normalizer()
@@ -110,29 +102,7 @@ class IntervalStat:
     violations_inside: tuple[Partition, ...]
 
 
-_worker_state: dict = {}
-
-
-def _scan_init(table: CharacterTable, x: Fraction) -> None:
-    _worker_state["columns"] = [table.column(a) for a in table.order]
-    _worker_state["weights"] = table_weights(table, x)
-
-
-def _scan_chunk(span: tuple[int, int]) -> list[Fraction]:
-    lo, hi = span
-    weights = _worker_state["weights"]
-    columns = _worker_state["columns"]
-    out = []
-    for j in range(lo, hi):
-        total = Fraction(0)
-        for chi, w in zip(columns[j], weights):
-            if chi:
-                total += chi * w
-        out.append(total)
-    return out
-
-
-def _classify(values: list[Fraction]) -> tuple[list[int], list[int]]:
+def _classify(values: list[int]) -> tuple[list[int], list[int]]:
     """Indices of violations (value < next) and ties (value == next)."""
     violations = []
     ties = []
@@ -159,9 +129,11 @@ def scan(d: int, x: Fraction | None = None, *, table: CharacterTable | None = No
          jobs: int = 1, use_cache: bool = True) -> ScanReport:
     """Evaluate every partition of d at x (default 1/d) and classify.
 
-    Evaluations fan out over a worker pool when jobs > 1 and are merged
-    back in lex order; exact arithmetic makes the report identical for
-    any job count.
+    Every value is one integer dot product against the common-denominator
+    weights of ``table_weights``; the sums are classified as integers
+    (the shared scale is positive) and become ``Fraction`` values only in
+    the report.  The scan runs in one process: ``jobs`` only sets the
+    worker count for a table build when the table is not given.
     """
     if table is None:
         table = load_or_build(d, jobs=jobs, use_cache=use_cache)
@@ -169,39 +141,17 @@ def scan(d: int, x: Fraction | None = None, *, table: CharacterTable | None = No
         raise DomainError(f"table degree {table.degree} does not match d={d}")
     x = rat(1, d) if x is None else Fraction(x)
 
-    n = len(table.order)
-    if jobs <= 1 or n < 4 * jobs:
-        _scan_init(table, x)
-        values = _scan_chunk((0, n))
-        _worker_state.clear()
-    else:
-        step = (n + jobs - 1) // jobs
-        spans = [(k, min(k + step, n)) for k in range(0, n, step)]
-        with ProcessPoolExecutor(max_workers=jobs, initializer=_scan_init,
-                                 initargs=(table, x)) as pool:
-            values = []
-            for part in pool.map(_scan_chunk, spans):
-                values.extend(part)
-
-    violations, ties = _classify(values)
+    scale, weights = table_weights(table, x)
+    sums = [sum(map(mul, column, weights)) for column in zip(*table.values)]
+    violations, ties = _classify(sums)
     return ScanReport(
         degree=d,
         x=x,
-        values=tuple(MValue(a, x, v) for a, v in zip(table.order, values)),
+        values=tuple(MValue(a, scale * s) for a, s in zip(table.order, sums)),
         violations=tuple(table.order[i] for i in violations),
         ties=tuple(table.order[i] for i in ties),
         runs=_runs(table.order, violations),
     )
-
-
-def violation_set(report: ScanReport) -> tuple[Partition, ...]:
-    """Partitions whose value strictly increases into the lex successor."""
-    return report.violations
-
-
-def monotone_runs(report: ScanReport) -> tuple[Run, ...]:
-    """Maximal stretches with no internal violation, in lex order."""
-    return report.runs
 
 
 def interval_stat(report: ScanReport, low, high) -> IntervalStat:

@@ -1,6 +1,10 @@
 import csv
 import io
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -177,6 +181,24 @@ class TestCache:
         code, _, _ = run_cli(capsys, "scan", "--d", "6", "--cache", "off")
         assert code == 0
         assert list(tmp_path.iterdir()) == []
+
+    def test_failed_cache_write_warns_and_continues(self, tmp_path):
+        # WG_CACHE_DIR names a regular file, so no table can be stored
+        blocker = tmp_path / "not-a-dir"
+        blocker.write_text("")
+        src = str(Path(cli.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=src, WG_CACHE_DIR=str(blocker))
+
+        def run(*extra):
+            return subprocess.run(
+                [sys.executable, "-m", "wgmono.cli", "eval", "--alpha", "1,2", *extra],
+                env=env, capture_output=True, text=True)
+
+        broken, reference = run(), run("--cache", "off")
+        assert broken.returncode == 0
+        assert broken.stdout == reference.stdout == "27/40\n"
+        assert "Traceback" not in broken.stderr
+        assert "not caching character table" in broken.stderr
 
 
 class TestSelftest:

@@ -7,10 +7,8 @@ from wgmono.exact import (
     binomial,
     catalan,
     factorial,
-    format_int,
     format_rat,
     int_pow,
-    parse_int,
     parse_rat,
     rat,
 )
@@ -154,7 +152,3 @@ class TestSerialization:
     def test_rat_round_trip(self, n, d):
         q = rat(n, d)
         assert parse_rat(format_rat(q)) == q
-
-    @given(st.integers(-10**30, 10**30))
-    def test_int_round_trip(self, n):
-        assert parse_int(format_int(n)) == n

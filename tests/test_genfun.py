@@ -13,9 +13,11 @@ from wgmono.genfun import (
     m0_catalan,
     normalized_value,
     series_coeff,
+    table_weights,
     vanishing_order,
 )
-from wgmono.partitions import Partition, lex_list
+from wgmono.partitions import Partition, cell_stats, lex_list
+from wgmono.scanner import scan
 
 
 def homogeneous_by_enumeration(values, r):
@@ -76,6 +78,72 @@ class TestEvalM:
         for alpha in t.order:
             for x in xs:
                 assert eval_M(alpha, x, t) > 0
+
+
+def fraction_weights(table, x):
+    """Reference: per-shape 1 / prod(h * (1 - c*x)) in Fraction arithmetic."""
+    weights = []
+    for lam in table.order:
+        stats = cell_stats(lam)
+        denom = Fraction(stats.hook_product)
+        for c in stats.contents:
+            factor = 1 - c * x
+            if factor == 0:
+                raise PoleError(c, x)
+            denom *= factor
+        weights.append(1 / denom)
+    return weights
+
+
+def fraction_eval(alpha, x, table):
+    """Reference: the character sum accumulated one Fraction at a time."""
+    total = Fraction(0)
+    for chi, w in zip(table.column(alpha), fraction_weights(table, x)):
+        if chi:
+            total += chi * w
+    return total
+
+
+class TestIntegerPath:
+    """Common-denominator evaluation against the Fraction reference."""
+
+    @staticmethod
+    def points(d):
+        # -3/7 and 5/3 make some factors q - c*p negative
+        return [rat(1, d), rat(0), rat(-3, 7), rat(5, 3), rat(2, 2 * d + 1)]
+
+    @pytest.mark.parametrize("d", range(1, 11))
+    def test_weights_match_reference(self, d, tables):
+        t = tables.get(d)
+        for x in self.points(d):
+            scale, weights = table_weights(t, x)
+            assert scale > 0
+            assert all(isinstance(w, int) for w in weights)
+            assert [scale * w for w in weights] == fraction_weights(t, x)
+
+    @pytest.mark.parametrize("d", range(1, 11))
+    def test_scan_and_eval_match_reference(self, d, tables):
+        t = tables.get(d)
+        for x in self.points(d):
+            rep = scan(d, x, table=t)
+            for mv in rep.values:
+                expect = fraction_eval(mv.alpha, x, t)
+                assert mv.value == expect
+                assert eval_M(mv.alpha, x, t) == expect
+
+    @pytest.mark.parametrize("d", range(2, 11))
+    def test_poles_match_reference(self, d, tables):
+        t = tables.get(d)
+        alpha = t.order[-1]
+        for c in [c for c in range(1 - d, d) if c]:
+            x = rat(1, c)
+            with pytest.raises(PoleError) as want:
+                fraction_eval(alpha, x, t)
+            for call in (lambda: eval_M(alpha, x, t), lambda: scan(d, x, table=t)):
+                with pytest.raises(PoleError) as got:
+                    call()
+                assert got.value.content == want.value.content
+                assert got.value.x == want.value.x
 
 
 class TestNormalizedValue:

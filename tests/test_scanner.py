@@ -13,9 +13,7 @@ from wgmono.scanner import (
     _classify,
     _runs,
     interval_stat,
-    monotone_runs,
     scan,
-    violation_set,
 )
 
 
@@ -42,9 +40,9 @@ class TestScan:
     def test_d6_monotone(self, tables):
         rep = scan(6, table=tables.get(6))
         assert rep.x == rat(1, 6)
-        assert violation_set(rep) == ()
+        assert rep.violations == ()
         assert rep.ties == ()
-        runs = monotone_runs(rep)
+        runs = rep.runs
         assert len(runs) == 1 and runs[0].length == 11
         vals = [mv.value for mv in rep.values]
         assert all(a > b for a, b in zip(vals, vals[1:]))
@@ -72,12 +70,6 @@ class TestScan:
     def test_table_degree_checked(self, tables):
         with pytest.raises(DomainError):
             scan(5, table=tables.get(6))
-
-    def test_value_of(self, tables):
-        rep = scan(4, table=tables.get(4))
-        assert rep.value_of((1, 1, 2)) == eval_M((1, 1, 2), rat(1, 4), tables.get(4))
-        with pytest.raises(DomainError):
-            rep.value_of((5,))
 
     def test_jobs_do_not_change_report(self, tables):
         base = scan(8, table=tables.get(8), jobs=1)
