@@ -6,11 +6,12 @@ when present.  Build it in place with:
 
     python setup.py build_ext --inplace
 
-A missing compiler or missing Cython downgrades the build to pure Python
-instead of failing the install.
+Without Cython the build compiles the shipped ``_mnkernel_c.cpp``; a
+missing compiler downgrades the build to pure Python instead of failing
+the install.
 """
 
-from setuptools import setup
+from setuptools import Extension, setup
 from setuptools.command.build_ext import build_ext
 
 
@@ -40,7 +41,9 @@ try:
         compiler_directives={"language_level": "3"},
     )
 except ImportError:
-    extensions = []
+    # Without Cython, compile the C++ translation shipped next to the .pyx.
+    extensions = [Extension("wgmono._mnkernel_c", ["src/wgmono/_mnkernel_c.cpp"],
+                            language="c++")]
 
 setup(
     ext_modules=extensions,

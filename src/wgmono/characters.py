@@ -19,7 +19,7 @@ import hashlib
 import os
 import tempfile
 import warnings
-from concurrent.futures import ProcessPoolExecutor
+from operator import mul
 from pathlib import Path
 
 from . import _mnkernel_py
@@ -112,6 +112,7 @@ def build_table(d: int, *, jobs: int = 1,
 
     Work may fan out over column blocks (each worker re-deriving shared
     subproblems); the assembled table is identical for any job count.
+    ``jobs`` is capped at the CPU count.
     """
     if d < 1:
         raise CapExceededError(f"degree must be >= 1, got {d}")
@@ -122,20 +123,20 @@ def build_table(d: int, *, jobs: int = 1,
     masks = [shape_mask(tuple(p)) for p in order]
     alphas = [tuple(p) for p in order]
 
+    jobs = min(jobs, os.cpu_count() or 1)
     if jobs <= 1 or len(order) < 4 * jobs:
         cols = active_kernel(d).compute_columns(masks, alphas)
     else:
         step = (len(alphas) + jobs - 1) // jobs
         chunks = [(masks, alphas[k:k + step], d)
                   for k in range(0, len(alphas), step)]
+        from concurrent.futures import ProcessPoolExecutor
         with ProcessPoolExecutor(max_workers=jobs) as pool:
             cols = []
             for part in pool.map(_columns_chunk, chunks):
                 cols.extend(part)
 
-    values = tuple(tuple(cols[j][i] for j in range(len(order)))
-                   for i in range(len(order)))
-    return CharacterTable(d, order, values)
+    return CharacterTable(d, order, tuple(zip(*cols)))
 
 
 def verify_table(table: CharacterTable) -> dict[str, int]:
@@ -143,23 +144,43 @@ def verify_table(table: CharacterTable) -> dict[str, int]:
 
     Returns a map check-name -> number of instances verified, for
     reporting.  Checks: the dimension column against the hook product,
-    sum of squared dimensions, and row and column orthogonality.
+    sum of squared dimensions, and column orthogonality
+    ``X^T X = D`` with ``D = diag(d!/|C_j|)``, every (j, k) pair exactly.
+
+    Row orthogonality is implied and not run separately.  X is square and
+    D is invertible, so ``X^T X = D`` gives ``(D^-1 X^T) X = I``: the left
+    inverse of a square matrix is also its right inverse, so
+    ``X D^-1 X^T = I``, which is ``sum_k |C_k| X[i][k] X[j][k] = d! [i = j]``.
+    Its pair count is still reported under "row orthogonality".
+
+    The column pass packs each row into one integer with w-bit slots,
+    ``P_i = sum_k X[i][k] 2^(w k)``, so ``sum_i X[i][j] P_i`` carries the
+    whole Gram row ``sum_k G[j][k] 2^(w k)``.  With m the largest |entry|,
+    ``|G[j][k]| <= n m^2 < 2^(w-2)``, and so is every expected value, since
+    ``d!/|C_j| <= d! = sum_i f_i^2 <= n m^2`` once the dimension checks
+    passed.  Digits that small have one balanced base-2^w expansion, so the
+    packed integers are equal exactly when every slot is.
     """
     d = table.degree
     order = table.order
+    values = table.values
     n = len(order)
     fact = factorial(d)
     sizes = [class_size(a) for a in order]
     counts: dict[str, int] = {}
 
+    if len(values) != n or any(len(row) != n for row in values):
+        raise TableVerificationError(
+            "shape", f"degree {d}: values are not {n} x {n}")
+
     dims = []
     for i, lam in enumerate(order):
         hooks = cell_stats(lam).hook_product
         expect, rem = divmod(fact, hooks)
-        if rem != 0 or table.values[i][0] != expect:
+        if rem != 0 or values[i][0] != expect:
             raise TableVerificationError(
                 "dimension column",
-                f"lambda={lam}: table {table.values[i][0]}, hooks give {fact}/{hooks}")
+                f"lambda={lam}: table {values[i][0]}, hooks give {fact}/{hooks}")
         dims.append(expect)
     counts["dimension column"] = n
 
@@ -168,24 +189,29 @@ def verify_table(table: CharacterTable) -> dict[str, int]:
             "sum of squared dimensions", f"degree {d}: != {d}!")
     counts["sum of squared dimensions"] = 1
 
-    for i in range(n):
-        for j in range(i, n):
-            ri, rj = table.values[i], table.values[j]
-            s = sum(sizes[k] * ri[k] * rj[k] for k in range(n))
-            if s != (fact if i == j else 0):
-                raise TableVerificationError(
-                    "row orthogonality",
-                    f"lambda={order[i]}, mu={order[j]}: got {s}")
+    m = max(max(max(row), -min(row)) for row in values)
+    # w is the least multiple of 8 with n m^2 < 2^(w-2)
+    nbytes = ((n * m * m).bit_length() + 2 + 7) // 8
+    w = 8 * nbytes
+    # Slots are packed biased by 2^(w-1) so each is a non-negative w-bit
+    # field; subtracting the packed bias restores the signed entries.
+    bias = 1 << (w - 1)
+    unbias = int.from_bytes(bias.to_bytes(nbytes, "little") * n, "little")
+    packed = [int.from_bytes(b"".join([(v + bias).to_bytes(nbytes, "little")
+                                       for v in row]), "little") - unbias
+              for row in values]
+    cols = tuple(zip(*values))
+    for j, col in enumerate(cols):
+        if sum(map(mul, col, packed)) != (fact // sizes[j]) << (w * j):
+            # Earlier columns passed, so G[j][k] = G[k][j] is right for k < j.
+            for k in range(j, n):
+                s = sum(map(mul, col, cols[k]))
+                expect = fact // sizes[j] if j == k else 0
+                if s != expect:
+                    raise TableVerificationError(
+                        "column orthogonality",
+                        f"alpha={order[j]}, beta={order[k]}: got {s}, want {expect}")
     counts["row orthogonality"] = n * (n + 1) // 2
-
-    for j in range(n):
-        for k in range(j, n):
-            s = sum(row[j] * row[k] for row in table.values)
-            expect = fact // sizes[j] if j == k else 0
-            if s != expect:
-                raise TableVerificationError(
-                    "column orthogonality",
-                    f"alpha={order[j]}, beta={order[k]}: got {s}, want {expect}")
     counts["column orthogonality"] = n * (n + 1) // 2
 
     return counts
@@ -258,7 +284,7 @@ def cache_load(d: int, path: str | os.PathLike) -> CharacterTable | None:
         if len(rows) != count:
             reject("truncated")
             return None
-        values = tuple(tuple(int(v) for v in row.split()) for row in rows)
+        values = tuple(tuple(map(int, row.split())) for row in rows)
         if any(len(row) != count for row in values):
             reject("ragged rows")
             return None

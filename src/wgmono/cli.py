@@ -43,7 +43,8 @@ def build_parser() -> argparse.ArgumentParser:
     def common(p, cache=True):
         p.add_argument("--format", choices=("json", "csv", "text"), default="text")
         p.add_argument("--jobs", type=int, default=_default_jobs(),
-                       help="worker count for table builds (scans run in one process)")
+                       help="worker count for table builds, at most the CPU count "
+                            "(scans run in one process)")
         if cache:
             p.add_argument("--cache", choices=("on", "off"), default="on",
                            help="use WG_CACHE_DIR for character tables")

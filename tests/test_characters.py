@@ -1,5 +1,7 @@
+import concurrent.futures
 import itertools
 import os
+import random
 
 import pytest
 
@@ -15,7 +17,7 @@ from wgmono.characters import (
 )
 from wgmono.errors import CapExceededError, DegreeMismatchError, TableVerificationError
 from wgmono.exact import factorial
-from wgmono.partitions import Partition, cell_stats, conjugate, lex_list
+from wgmono.partitions import Partition, cell_stats, class_size, conjugate, lex_list
 from wgmono import _mnkernel_py
 
 try:
@@ -88,6 +90,70 @@ class TestMnCharacter:
                     f"chi({lam}, {alpha})"
 
 
+def reference_verify(table):
+    """Reference oracle: the row-then-column double-loop check.
+
+    This is the check ``verify_table`` ran before it became one packed
+    column pass; the tests require both to reject the same tables.
+    """
+    d = table.degree
+    order = table.order
+    n = len(order)
+    fact = factorial(d)
+    sizes = [class_size(a) for a in order]
+    counts = {}
+
+    dims = []
+    for i, lam in enumerate(order):
+        hooks = cell_stats(lam).hook_product
+        expect, rem = divmod(fact, hooks)
+        if rem != 0 or table.values[i][0] != expect:
+            raise TableVerificationError(
+                "dimension column",
+                f"lambda={lam}: table {table.values[i][0]}, hooks give {fact}/{hooks}")
+        dims.append(expect)
+    counts["dimension column"] = n
+
+    if sum(f * f for f in dims) != fact:
+        raise TableVerificationError(
+            "sum of squared dimensions", f"degree {d}: != {d}!")
+    counts["sum of squared dimensions"] = 1
+
+    for i in range(n):
+        for j in range(i, n):
+            ri, rj = table.values[i], table.values[j]
+            s = sum(sizes[k] * ri[k] * rj[k] for k in range(n))
+            if s != (fact if i == j else 0):
+                raise TableVerificationError(
+                    "row orthogonality",
+                    f"lambda={order[i]}, mu={order[j]}: got {s}")
+    counts["row orthogonality"] = n * (n + 1) // 2
+
+    for j in range(n):
+        for k in range(j, n):
+            s = sum(row[j] * row[k] for row in table.values)
+            expect = fact // sizes[j] if j == k else 0
+            if s != expect:
+                raise TableVerificationError(
+                    "column orthogonality",
+                    f"alpha={order[j]}, beta={order[k]}: got {s}, want {expect}")
+    counts["column orthogonality"] = n * (n + 1) // 2
+
+    return counts
+
+
+def accepts(check, table):
+    try:
+        check(table)
+    except TableVerificationError:
+        return False
+    return True
+
+
+def with_values(table, rows):
+    return CharacterTable(table.degree, table.order, tuple(tuple(r) for r in rows))
+
+
 class TestBuildTable:
     def test_d1(self):
         t = build_table(1)
@@ -118,6 +184,28 @@ class TestBuildTable:
 
     def test_worker_count_invariance(self):
         assert build_table(10, jobs=1) == build_table(10, jobs=3)
+
+    def test_jobs_clamped_to_cpu_count(self, monkeypatch):
+        # a recording stand-in: no real pool is started
+        started = []
+
+        class RecordingExecutor:
+            def __init__(self, max_workers):
+                started.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, items):
+                return map(fn, items)
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingExecutor)
+        monkeypatch.setattr(os, "cpu_count", lambda: 3)
+        assert build_table(10, jobs=100) == build_table(10, jobs=1)
+        assert started == [3]
 
     @pytest.mark.parametrize("d", range(2, 11))
     def test_conjugate_sign_symmetry(self, d, tables):
@@ -169,6 +257,67 @@ class TestVerifyTable:
         bad = CharacterTable(4, t.order, tuple(tuple(r) for r in rows))
         with pytest.raises(TableVerificationError, match="dimension"):
             verify_table(bad)
+
+    def test_ragged_table_rejected(self, tables):
+        t = tables.get(4)
+        rows = list(t.values)
+        rows[-1] = rows[-1][:-1]
+        with pytest.raises(TableVerificationError, match="shape"):
+            verify_table(with_values(t, rows))
+
+    @pytest.mark.parametrize("d", range(1, 7))
+    def test_every_single_entry_perturbation_rejected(self, d, tables):
+        t = tables.get(d)
+        n = len(t.order)
+        deltas = [sign << k for k in range(71) for sign in (1, -1)]
+        for i, j, delta in itertools.product(range(n), range(n), deltas):
+            rows = list(t.values)
+            rows[i] = rows[i][:j] + (rows[i][j] + delta,) + rows[i][j + 1:]
+            bad = with_values(t, rows)
+            assert not accepts(reference_verify, bad), (i, j, delta)
+            try:
+                verify_table(bad)
+            except TableVerificationError as err:
+                assert err.check in ("dimension column", "column orthogonality")
+            else:
+                pytest.fail(f"accepted entry ({i}, {j}) changed by {delta}")
+
+    def test_random_perturbations_same_verdict(self, tables):
+        # Entry changes are mixed with moves that keep a valid table valid:
+        # negating a non-dimension column, or swapping the rows of a
+        # conjugate pair (equal dimensions).
+        rng = random.Random(20260101)
+        verdicts = []
+        for trial in range(300):
+            t = tables.get(rng.randint(4, 7))
+            n = len(t.order)
+            rows = [list(r) for r in t.values]
+            moves = rng.sample(("entries", "signs", "swap"), rng.randint(1, 3))
+            if "signs" in moves:
+                for j in rng.sample(range(1, n), rng.randint(1, n - 1)):
+                    for r in rows:
+                        r[j] = -r[j]
+            if "swap" in moves:
+                lam = rng.choice([p for p in t.order if conjugate(p) != p])
+                a, b = t.position(lam), t.position(conjugate(lam))
+                rows[a], rows[b] = rows[b], rows[a]
+            if "entries" in moves:
+                for _ in range(rng.randint(2, 5)):
+                    rows[rng.randrange(n)][rng.randrange(n)] += \
+                        rng.choice((1, -1)) << rng.randrange(71)
+            bad = with_values(t, rows)
+            verdict = accepts(verify_table, bad)
+            assert verdict == accepts(reference_verify, bad), (trial, moves)
+            verdicts.append(verdict)
+        assert any(verdicts) and not all(verdicts)
+
+    @pytest.mark.parametrize("d", range(1, 11))
+    def test_counts_match_reference(self, d, tables):
+        assert verify_table(tables.get(d)) == reference_verify(tables.get(d))
+
+    def test_passes_at_d18(self, tables):
+        counts = verify_table(tables.get(18))
+        assert counts["column orthogonality"] == 385 * 386 // 2
 
 
 class TestCache:

@@ -201,6 +201,17 @@ class TestCache:
         assert "not caching character table" in broken.stderr
 
 
+class TestStartup:
+    def test_import_leaves_process_pool_unloaded(self):
+        src = str(Path(cli.__file__).resolve().parents[1])
+        probe = subprocess.run(
+            [sys.executable, "-c",
+             "import sys, wgmono.cli; print('concurrent.futures.process' in sys.modules)"],
+            env=dict(os.environ, PYTHONPATH=src), capture_output=True, text=True)
+        assert probe.returncode == 0, probe.stderr
+        assert probe.stdout == "False\n"
+
+
 class TestSelftest:
     def test_quick_level_passes(self, capsys):
         code, out, _ = run_cli(capsys, "selftest", "--level", "quick", "--jobs", "1")
