@@ -20,7 +20,7 @@ import os
 import sys
 
 from . import selftest
-from .characters import DEFAULT_MAX_DEGREE, load_or_build
+from .characters import load_or_build
 from .errors import DomainError
 from .exact import format_rat, parse_rat, rat
 from .genfun import (counterexample_family, eval_M, leading_ratio, normalizer,
@@ -87,9 +87,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _table_for(d, args):
-    use_cache = getattr(args, "cache", "on") == "on"
-    return load_or_build(d, jobs=args.jobs, use_cache=use_cache,
-                         max_degree=DEFAULT_MAX_DEGREE)
+    return load_or_build(d, jobs=args.jobs, use_cache=args.cache == "on")
 
 
 def _cmd_eval(args) -> int:
@@ -130,7 +128,7 @@ def _cmd_coeff(args) -> int:
 def _cmd_scan(args) -> int:
     x = parse_rat(args.x) if args.x is not None else None
     table = _table_for(args.d, args)
-    report = scan(args.d, x, table=table, jobs=args.jobs)
+    report = scan(args.d, x, table=table)
     intervals = ()
     if args.low is not None or args.high is not None:
         if args.low is None or args.high is None:
@@ -200,8 +198,8 @@ def _cmd_family(args) -> int:
 
 
 def _cmd_selftest(args) -> int:
-    use_cache = getattr(args, "cache", "on") == "on"
-    return selftest.run_selftest(args.level, jobs=args.jobs, use_cache=use_cache)
+    return selftest.run_selftest(args.level, jobs=args.jobs,
+                                 use_cache=args.cache == "on")
 
 
 _COMMANDS = {

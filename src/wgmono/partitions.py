@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from functools import reduce
+from functools import lru_cache, reduce
 
 from .errors import DegreeMismatchError, PartitionError
 from .exact import factorial
@@ -170,7 +170,12 @@ def cell_stats(lam) -> CellStats:
     >>> cell_stats(Partition((1, 2)))
     CellStats(hook_lengths=(1, 1, 3), contents=(-1, 0, 1))
     """
-    rows = as_partition(lam).rows
+    return _cell_stats(as_partition(lam))
+
+
+@lru_cache(maxsize=None)
+def _cell_stats(p: Partition) -> CellStats:
+    rows = p.rows
     cols = [sum(1 for r in rows if r > j) for j in range(rows[0])]
     hooks = []
     contents = []

@@ -1,14 +1,20 @@
 """Built-in self checks behind the CLI selftest verb.
 
-Three nested levels: quick covers the exact identities up to degree 8,
-standard adds the degree-13 regression values and the walk-oracle
-comparison, extended adds the full scans through degree 20.  Checks run
-in order and the first failure stops the run with a nonzero status.
+``CHECKS`` is the one catalogue of the package's exact checks and the
+one home of the paper's regression values.  Each entry is
+``(level, name, check)``; ``check(table)`` takes a function returning
+the degree-d character table and raises ``AssertionError`` on the first
+mismatch.  Three nested levels: quick covers the exact identities up to
+degree 8, standard adds the degree-13 regression values and the walk
+oracle through degree 6, extended adds the scans through degree 20 and
+widens the identities to degree 12.  Checks run in order and the first
+failure stops the run with a nonzero status.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import lru_cache, partial
 
 from .characters import build_table, load_or_build, verify_table
 from .exact import factorial, rat
@@ -36,9 +42,12 @@ _LEX6 = ["1^6", "1^4,2", "1^3,3", "1^2,2^2", "1^2,4", "1,2,3", "1,5",
          "2^3", "2,4", "3^2", "6"]
 
 _PARTITION_COUNTS = {1: 1, 2: 2, 3: 3, 4: 5, 5: 7, 6: 11, 7: 15, 8: 22}
+_P20 = 627
 
 _D13_LOW = ("1^6,7", Fraction(30132115571, 1149266300))
 _D13_HIGH = ("1^5,2^4", Fraction(426729597219, 16089728200))
+# 13^13 / (13!)^2: the raw value at x = 1/13 per unit of normalized value
+_D13_SCALE = Fraction(302875106592253, 6227020800 ** 2)
 
 _VIOLATIONS = {
     13: ["1^6,7"],
@@ -49,211 +58,231 @@ _VIOLATIONS = {
 }
 
 
-class CheckFailure(AssertionError):
-    pass
-
-
 def _require(cond: bool, detail: str) -> None:
     if not cond:
-        raise CheckFailure(detail)
+        raise AssertionError(detail)
 
 
-def _tables(ds, jobs, use_cache):
-    return {d: load_or_build(d, jobs=jobs, use_cache=use_cache) for d in ds}
+def lex_order_d6(table):
+    got = [str(p) for p in lex_list(6)]
+    _require(got == _LEX6, f"lex_list(6) = {got}")
 
 
-def _checks_quick(jobs, use_cache):
-    def lex_order_d6():
-        got = [str(p) for p in lex_list(6)]
-        _require(got == _LEX6, f"lex_list(6) = {got}")
-
-    def partition_counts():
-        for d, n in _PARTITION_COUNTS.items():
-            _require(len(lex_list(d)) == n, f"p({d}) != {n}")
-
-    def successor_chain_d7():
-        p = Partition((1,) * 7)
-        seen = [p]
-        while (p := lex_successor(p)) is not None:
-            seen.append(p)
-        _require(seen == lex_list(7), "successor chain disagrees with lex_list(7)")
-
-    def conjugate_involution():
-        for d in range(1, 9):
-            for p in lex_list(d):
-                _require(conjugate(conjugate(p)) == p, f"conjugate not involutive at {p}")
-
-    def class_sizes_sum():
-        for d in range(1, 9):
-            total = sum(class_size(p) for p in lex_list(d))
-            _require(total == factorial(d), f"class sizes of degree {d} sum to {total}")
-
-    def tables_verify_d6():
-        for d in range(1, 7):
-            verify_table(build_table(d))
-
-    def conjugate_sign_symmetry():
-        for d in range(2, 7):
-            t = build_table(d)
-            for lam in t.order:
-                for alpha in t.order:
-                    sign = -1 if (d - alpha.length) % 2 else 1
-                    _require(t.chi(lam, alpha) == sign * t.chi(conjugate(lam), alpha),
-                             f"conjugate symmetry fails at {lam}, {alpha}")
-
-    def walk_oracle_small():
-        tabs = _tables((2, 3, 4), jobs, use_cache)
-        for d in (2, 3, 4):
-            rep = oracle_compare(d, 6, tabs[d])
-            _require(rep.passed, f"walk oracle mismatches at d={d}: {rep.mismatches[:3]}")
-        _require(class_function_check(enumerate_counts(4, 6)).passed,
-                 "walk counts not constant on classes at d=4")
-
-    def bottom_catalan():
-        tabs = _tables(range(1, 9), jobs, use_cache)
-        for d in range(1, 9):
-            for alpha in tabs[d].order:
-                _require(series_coeff(alpha, vanishing_order(alpha), tabs[d])
-                         == m0_catalan(alpha), f"bottom coefficient at {alpha}")
-
-    def series_parity():
-        tabs = _tables(range(2, 6), jobs, use_cache)
-        for d in range(2, 6):
-            for alpha in tabs[d].order:
-                base = vanishing_order(alpha)
-                for r in range(0, 10):
-                    c = series_coeff(alpha, r, tabs[d])
-                    if r < base or (r - base) % 2:
-                        _require(c == 0, f"off-support coefficient at {alpha}, r={r}")
-
-    def scans_monotone_d8():
-        for d in range(1, 9):
-            rep = scan(d, jobs=jobs, use_cache=use_cache)
-            _require(not rep.violations and not rep.ties,
-                     f"monotonicity fails at degree {d}")
-
-    def family_growth():
-        ratios = [counterexample_family(n)[2] for n in range(1, 13)]
-        first = next(n for n, q in enumerate(ratios, start=1) if q > 1)
-        _require(first == 5, f"ratio first exceeds 1 at n={first}")
-        for n in range(2, 12):
-            _require(ratios[n] / ratios[n - 1] == rat(2 * n + 1, n + 2),
-                     f"ratio recurrence at n={n}")
-
-    def positivity_samples():
-        tabs = _tables((3, 5, 7), jobs, use_cache)
-        for d in (3, 5, 7):
-            xs = [rat(1, 10 * d), rat(1, 2 * d), rat(1, d), rat(99, 100 * (d - 1))]
-            for alpha in tabs[d].order:
-                for x in xs:
-                    _require(eval_M(alpha, x, tabs[d]) > 0,
-                             f"non-positive value at {alpha}, x={x}")
-
-    return [
-        ("lex order d=6", lex_order_d6),
-        ("partition counts d<=8", partition_counts),
-        ("successor chain d=7", successor_chain_d7),
-        ("conjugate involution d<=8", conjugate_involution),
-        ("class sizes sum d<=8", class_sizes_sum),
-        ("character tables verify d<=6", tables_verify_d6),
-        ("conjugate sign symmetry d<=6", conjugate_sign_symmetry),
-        ("walk oracle d<=4", walk_oracle_small),
-        ("bottom coefficient catalan d<=8", bottom_catalan),
-        ("series parity d<=5", series_parity),
-        ("scans monotone d<=8", scans_monotone_d8),
-        ("family ratio growth", family_growth),
-        ("positivity samples d<=7", positivity_samples),
-    ]
+def partition_counts(table):
+    for d, n in _PARTITION_COUNTS.items():
+        _require(len(lex_list(d)) == n, f"p({d}) != {n}")
 
 
-def _checks_standard(jobs, use_cache):
-    def normalized_pair_d13():
-        t = load_or_build(13, jobs=jobs, use_cache=use_cache)
-        for text, expect in (_D13_LOW, _D13_HIGH):
-            got = normalized_value(Partition.parse(text), t)
-            _require(got == expect, f"normalized value of {text} is {got}")
-        low = eval_M(Partition.parse(_D13_LOW[0]), rat(1, 13), t)
-        high = eval_M(Partition.parse(_D13_HIGH[0]), rat(1, 13), t)
-        _require(low < high, "degree-13 violating pair not strictly ordered")
+def partition_count_d20(table):
+    _require(len(lex_list(20)) == _P20, f"p(20) != {_P20}")
 
-    def violations_d13():
-        rep = scan(13, jobs=jobs, use_cache=use_cache)
+
+def successor_chain_d7(table):
+    p = Partition((1,) * 7)
+    seen = [p]
+    while (p := lex_successor(p)) is not None:
+        seen.append(p)
+    _require(seen == lex_list(7), "successor chain disagrees with lex_list(7)")
+
+
+def conjugate_involution(table):
+    for d in range(1, 9):
+        for p in lex_list(d):
+            _require(conjugate(conjugate(p)) == p, f"conjugate not involutive at {p}")
+
+
+def class_sizes_sum(table):
+    for d in range(1, 9):
+        total = sum(class_size(p) for p in lex_list(d))
+        _require(total == factorial(d), f"class sizes of degree {d} sum to {total}")
+
+
+def tables_verify(table, degrees):
+    for d in degrees:
+        t = table(d)
+        verify_table(t)
+        _require(sum(t.dimension(lam) ** 2 for lam in t.order) == factorial(d),
+                 f"squared dimensions of degree {d} do not sum to {d}!")
+
+
+def conjugate_sign_symmetry(table, degrees):
+    for d in degrees:
+        t = table(d)
+        for lam in t.order:
+            for alpha in t.order:
+                sign = -1 if (d - alpha.length) % 2 else 1
+                _require(t.chi(lam, alpha) == sign * t.chi(conjugate(lam), alpha),
+                         f"conjugate symmetry fails at {lam}, {alpha}")
+
+
+def walk_oracle(table, degrees, steps):
+    for d in degrees:
+        rep = oracle_compare(d, steps, table(d))
+        _require(rep.passed, f"walk oracle mismatches at d={d}: {rep.mismatches[:3]}")
+        _require(class_function_check(enumerate_counts(d, steps)).passed,
+                 f"walk counts not constant on classes at d={d}")
+
+
+def bottom_catalan(table, degrees):
+    for d in degrees:
+        t = table(d)
+        for alpha in t.order:
+            _require(series_coeff(alpha, vanishing_order(alpha), t)
+                     == m0_catalan(alpha), f"bottom coefficient at {alpha}")
+
+
+def series_parity(table, degrees, steps):
+    for d in degrees:
+        t = table(d)
+        for alpha in t.order:
+            base = vanishing_order(alpha)
+            for r in range(steps):
+                if r < base or (r - base) % 2:
+                    _require(series_coeff(alpha, r, t) == 0,
+                             f"off-support coefficient at {alpha}, r={r}")
+
+
+def scans_monotone(table, degrees):
+    for d in degrees:
+        rep = scan(d, table=table(d))
+        vals = [mv.value for mv in rep.values]
+        _require(not rep.violations and not rep.ties
+                 and all(a > b for a, b in zip(vals, vals[1:])),
+                 f"monotonicity fails at degree {d}")
+
+
+def family_growth(table):
+    ratios = {n: counterexample_family(n)[2] for n in range(1, 21)}
+    first = min(n for n, q in ratios.items() if q > 1)
+    _require(first == 5, f"ratio first exceeds 1 at n={first}")
+    for n in range(1, 20):
+        _require(ratios[n + 1] / ratios[n] == rat(2 * n + 1, n + 2),
+                 f"ratio recurrence at n={n}")
+    _require(ratios[20] / ratios[5] > 100, "ratio(20) / ratio(5) <= 100")
+
+
+def positivity_samples(table, degrees):
+    for d in degrees:
+        t = table(d)
+        xs = [rat(1, 10 * d), rat(1, 2 * d), rat(1, d), rat(99, 100 * (d - 1))]
+        for alpha in t.order:
+            for x in xs:
+                _require(eval_M(alpha, x, t) > 0,
+                         f"non-positive value at {alpha}, x={x}")
+
+
+def normalized_pair_d13(table):
+    t = table(13)
+    raw = []
+    for text, expect in (_D13_LOW, _D13_HIGH):
+        alpha = Partition.parse(text)
+        got = normalized_value(alpha, t)
+        _require(got == expect, f"normalized value of {text} is {got}")
+        raw.append(eval_M(alpha, rat(1, 13), t))
+        _require(raw[-1] == _D13_SCALE * expect,
+                 f"raw value of {text} at 1/13 is {raw[-1]}")
+    _require(raw[0] < raw[1], "degree-13 violating pair not strictly ordered")
+
+
+def violations_d13(table):
+    rep = scan(13, table=table(13))
+    got = [str(p) for p in rep.violations]
+    _require(got == _VIOLATIONS[13], f"violations at 13: {got}")
+    _require(len(rep.runs) == 2 and sum(r.length for r in rep.runs) == 101,
+             "run structure at 13")
+
+
+def violations_d14_d16(table):
+    for d in (14, 15, 16):
+        rep = scan(d, table=table(d))
         got = [str(p) for p in rep.violations]
-        _require(got == _VIOLATIONS[13], f"violations at 13: {got}")
-        _require(len(rep.runs) == 2 and sum(r.length for r in rep.runs) == 101,
-                 "run structure at 13")
-
-    def walk_oracle_d6():
-        tabs = _tables((5, 6), jobs, use_cache)
-        for d in (5, 6):
-            rep = oracle_compare(d, 8, tabs[d])
-            _require(rep.passed, f"walk oracle mismatches at d={d}: {rep.mismatches[:3]}")
-
-    def scans_empty_below_13():
-        for d in range(9, 13):
-            rep = scan(d, jobs=jobs, use_cache=use_cache)
-            _require(not rep.violations and not rep.ties,
-                     f"monotonicity fails at degree {d}")
-
-    def tables_verify_d10():
-        for d in (8, 10):
-            verify_table(load_or_build(d, jobs=jobs, use_cache=use_cache))
-
-    return [
-        ("normalized pair d=13", normalized_pair_d13),
-        ("violations d=13", violations_d13),
-        ("walk oracle d<=6 r<=8", walk_oracle_d6),
-        ("scans empty below 13", scans_empty_below_13),
-        ("tables verify d<=10", tables_verify_d10),
-    ]
+        _require(got == _VIOLATIONS[d], f"violations at {d}: {got}")
+        _require(not rep.ties, f"unexpected tie at degree {d}")
 
 
-def _checks_extended(jobs, use_cache):
-    def violations_d14_d16():
-        for d in (14, 15, 16):
-            rep = scan(d, jobs=jobs, use_cache=use_cache)
-            got = [str(p) for p in rep.violations]
-            _require(got == _VIOLATIONS[d], f"violations at {d}: {got}")
-            _require(not rep.ties, f"unexpected tie at degree {d}")
+def scan_d20_census(table):
+    rep = scan(20, table=table(20))
+    _require(len(rep.values) == _P20, f"p(20) = {len(rep.values)}")
+    _require(len(rep.violations) == 45, f"|violations| at 20: {len(rep.violations)}")
+    stat = interval_stat(rep, Partition.parse("1,2^2,4,11"),
+                         Partition.parse("2,5,13"))
+    _require(stat.cardinality == 151, f"interval cardinality {stat.cardinality}")
+    _require([str(p) for p in stat.violations_inside] == ["2,5,13"],
+             f"interval violations {stat.violations_inside}")
+    _require(max(r.length for r in rep.runs) >= 150, "no long monotone run")
 
-    def table_verify_d12():
-        verify_table(load_or_build(12, jobs=jobs, use_cache=use_cache))
 
-    def scan_d20_census():
-        rep = scan(20, jobs=jobs, use_cache=use_cache)
-        _require(len(rep.values) == 627, f"p(20) = {len(rep.values)}")
-        _require(len(rep.violations) == 45, f"|violations| at 20: {len(rep.violations)}")
-        stat = interval_stat(rep, Partition.parse("1,2^2,4,11"),
-                             Partition.parse("2,5,13"))
-        _require(stat.cardinality == 151, f"interval cardinality {stat.cardinality}")
-        _require([str(p) for p in stat.violations_inside] == ["2,5,13"],
-                 f"interval violations {stat.violations_inside}")
-        _require(max(r.length for r in rep.runs) >= 150, "no long monotone run")
+def build_jobs_invariance_d16(table):
+    _require(build_table(16, jobs=1) == build_table(16, jobs=2),
+             "degree-16 table depends on the worker count")
 
-    return [
-        ("violations d=14..16", violations_d14_d16),
-        ("table verify d=12", table_verify_d12),
-        ("scan d=20 census", scan_d20_census),
-    ]
+
+CHECKS = [
+    ("quick", "lex order d=6", lex_order_d6),
+    ("quick", "partition counts d<=8", partition_counts),
+    ("quick", "successor chain d=7", successor_chain_d7),
+    ("quick", "conjugate involution d<=8", conjugate_involution),
+    ("quick", "class sizes sum d<=8", class_sizes_sum),
+    ("quick", "character tables verify d<=6",
+     partial(tables_verify, degrees=range(1, 7))),
+    ("quick", "conjugate sign symmetry d<=6",
+     partial(conjugate_sign_symmetry, degrees=range(2, 7))),
+    ("quick", "walk oracle d<=4",
+     partial(walk_oracle, degrees=range(2, 5), steps=6)),
+    ("quick", "bottom coefficient catalan d<=8",
+     partial(bottom_catalan, degrees=range(1, 9))),
+    ("quick", "series parity d<=5",
+     partial(series_parity, degrees=range(2, 6), steps=10)),
+    ("quick", "scans monotone d<=8",
+     partial(scans_monotone, degrees=range(1, 9))),
+    ("quick", "family ratio growth", family_growth),
+    ("quick", "positivity samples d<=7",
+     partial(positivity_samples, degrees=(3, 5, 7))),
+    ("standard", "normalized pair d=13", normalized_pair_d13),
+    ("standard", "violations d=13", violations_d13),
+    ("standard", "walk oracle d<=6 r<=8",
+     partial(walk_oracle, degrees=range(2, 7), steps=8)),
+    ("standard", "scans empty below 13",
+     partial(scans_monotone, degrees=range(9, 13))),
+    ("standard", "tables verify d<=10",
+     partial(tables_verify, degrees=range(1, 11))),
+    ("extended", "partition count d=20", partition_count_d20),
+    ("extended", "conjugate sign symmetry d<=10",
+     partial(conjugate_sign_symmetry, degrees=range(2, 11))),
+    ("extended", "bottom coefficient catalan d<=10",
+     partial(bottom_catalan, degrees=range(1, 11))),
+    ("extended", "series parity d<=6 r<=10",
+     partial(series_parity, degrees=range(2, 7), steps=11)),
+    ("extended", "positivity samples d<=10",
+     partial(positivity_samples, degrees=range(2, 11))),
+    ("extended", "violations d=14..16", violations_d14_d16),
+    ("extended", "table verify d=11", partial(tables_verify, degrees=(11,))),
+    ("extended", "table verify d=12", partial(tables_verify, degrees=(12,))),
+    ("extended", "scan d=20 census", scan_d20_census),
+    ("extended", "table build jobs invariance d=16", build_jobs_invariance_d16),
+]
+
+
+def checks(level: str) -> list:
+    """The catalogue entries at or below a level, in run order."""
+    if level not in LEVELS:
+        raise ValueError(f"level must be one of {LEVELS}")
+    top = LEVELS.index(level)
+    return [c for c in CHECKS if LEVELS.index(c[0]) <= top]
 
 
 def run_selftest(level: str = "quick", *, jobs: int = 1, use_cache: bool = True,
                  emit=print) -> int:
     """Run checks up to the given level; 0 on success, 1 at first failure."""
-    if level not in LEVELS:
-        raise ValueError(f"level must be one of {LEVELS}")
-    checks = _checks_quick(jobs, use_cache)
-    if level in ("standard", "extended"):
-        checks += _checks_standard(jobs, use_cache)
-    if level == "extended":
-        checks += _checks_extended(jobs, use_cache)
-
-    for name, fn in checks:
+    selected = checks(level)
+    table = lru_cache(maxsize=None)(
+        partial(load_or_build, jobs=jobs, use_cache=use_cache))
+    for _, name, check in selected:
         try:
-            fn()
-        except CheckFailure as exc:
+            check(table)
+        except AssertionError as exc:
             emit(f"FAIL {name}: {exc}")
             return 1
         emit(f"ok {name}")
-    emit(f"selftest {level}: {len(checks)} checks passed")
+    emit(f"selftest {level}: {len(selected)} checks passed")
     return 0

@@ -1,161 +1,70 @@
-"""Acceptance gate: every criterion exact (tolerance zero), one test each.
+"""Acceptance gate: every check of the selftest catalogue, with a time budget.
 
-Each test prints a PASS line with its elapsed time and asserts the
-stated runtime budget.  Character tables are shared through the session
-store, which mirrors normal operation (criterion budgets allow reuse).
+The checks and the regression values they pin live in
+``wgmono.selftest``; this file runs each one exactly (tolerance zero),
+prints a PASS line with its elapsed time and asserts its budget.
+Character tables are shared through the session store, which mirrors
+normal operation (budgets allow reuse).
 """
 
 import time
-from contextlib import contextmanager
-from fractions import Fraction
 
-from wgmono.exact import factorial, rat
-from wgmono.genfun import (
-    counterexample_family,
-    eval_M,
-    m0_catalan,
-    normalized_value,
-    series_coeff,
-    vanishing_order,
-)
-from wgmono.partitions import Partition, conjugate, lex_list
-from wgmono.scanner import interval_stat, scan
-from wgmono.walks import class_function_check, enumerate_counts, oracle_compare
-from wgmono.characters import verify_table
+import pytest
 
-LEX6 = ["1^6", "1^4,2", "1^3,3", "1^2,2^2", "1^2,4", "1,2,3", "1,5",
-        "2^3", "2,4", "3^2", "6"]
+from wgmono import selftest
 
-G13 = ["1^6,7"]
-G14 = ["1^7,7", "1^5,2,7", "1^5,9"]
-G15 = ["1^8,7", "1^6,2,7", "1^6,9", "1^4,11", "1^3,2,10", "1^3,3,9"]
-G16 = ["1^11,5", "1^9,7", "1^7,2,7", "1^7,9", "1^6,10", "1^5,2^2,7",
-       "1^5,11", "1^4,2,10", "1^4,3,9", "1^3,13", "1,4,11"]
+# Seconds per check.  A check keeps the budget of the acceptance
+# criterion whose content it carries; checks that carry none get 1 s.
+BUDGETS = {
+    # lex order and partition counts
+    "lex order d=6": 1,
+    "partition counts d<=8": 1,
+    "partition count d=20": 1,
+    "successor chain d=7": 1,
+    "conjugate involution d<=8": 1,
+    "class sizes sum d<=8": 1,
+    # monotone below 13
+    "scans monotone d<=8": 300,
+    "scans empty below 13": 300,
+    # the degree-13 pair
+    "normalized pair d=13": 60,
+    "violations d=13": 60,
+    # violation sets at 14..16
+    "violations d=14..16": 600,
+    # the degree-20 census
+    "scan d=20 census": 7200,
+    # walk oracle
+    "walk oracle d<=4": 120,
+    "walk oracle d<=6 r<=8": 120,
+    # Catalan identities and the family ratios
+    "bottom coefficient catalan d<=8": 60,
+    "bottom coefficient catalan d<=10": 60,
+    "family ratio growth": 60,
+    # character identities
+    "character tables verify d<=6": 300,
+    "tables verify d<=10": 300,
+    "table verify d=11": 300,
+    "table verify d=12": 300,
+    "conjugate sign symmetry d<=6": 300,
+    "conjugate sign symmetry d<=10": 300,
+    # positivity and parity
+    "positivity samples d<=7": 120,
+    "positivity samples d<=10": 120,
+    "series parity d<=5": 120,
+    "series parity d<=6 r<=10": 120,
+    # worker determinism
+    "table build jobs invariance d=16": 600,
+}
 
-NU_LOW = Fraction(30132115571, 1149266300)    # at 1^6,7
-NU_HIGH = Fraction(426729597219, 16089728200)  # at 1^5,2^4
+CHECKS = selftest.checks("extended")
 
 
-@contextmanager
-def budget(name, seconds):
+@pytest.mark.parametrize("name,check", [(name, check) for _, name, check in CHECKS],
+                         ids=[name for _, name, _ in CHECKS])
+def test_check(name, check, tables):
+    seconds = BUDGETS[name]
     start = time.perf_counter()
-    yield
+    check(tables.get)
     elapsed = time.perf_counter() - start
     print(f"PASS {name}: {elapsed:.2f}s (budget {seconds}s)")
     assert elapsed < seconds, f"{name} exceeded budget: {elapsed:.1f}s > {seconds}s"
-
-
-def test_criterion_01_lex_order():
-    with budget("criterion 1 (lex order)", 1):
-        assert [str(p) for p in lex_list(6)] == LEX6
-        assert len(lex_list(20)) == 627
-
-
-def test_criterion_02_monotone_below_13(tables):
-    with budget("criterion 2 (monotone d<=12)", 300):
-        for d in range(1, 13):
-            rep = scan(d, table=tables.get(d))
-            assert rep.violations == (), f"degree {d}"
-            assert rep.ties == (), f"degree {d}"
-            vals = [mv.value for mv in rep.values]
-            assert all(a > b for a, b in zip(vals, vals[1:])), f"degree {d}"
-
-
-def test_criterion_03_degree13_counterexample(tables):
-    with budget("criterion 3 (degree-13 pair)", 60):
-        t = tables.get(13)
-        low = Partition.parse("1^6,7")
-        high = Partition.parse("1^5,2^4")
-        assert normalized_value(low, t) == NU_LOW
-        assert normalized_value(high, t) == NU_HIGH
-        scale = Fraction(302875106592253, 6227020800 ** 2)  # 13^13 / (13!)^2
-        assert eval_M(low, rat(1, 13), t) == scale * NU_LOW
-        assert eval_M(high, rat(1, 13), t) == scale * NU_HIGH
-        assert eval_M(low, rat(1, 13), t) < eval_M(high, rat(1, 13), t)
-        rep = scan(13, table=t)
-        assert [str(p) for p in rep.violations] == G13
-
-
-def test_criterion_04_violation_sets_14_to_16(tables):
-    with budget("criterion 4 (violation sets 14..16)", 600):
-        for d, expected in ((14, G14), (15, G15), (16, G16)):
-            rep = scan(d, table=tables.get(d))
-            assert [str(p) for p in rep.violations] == expected, f"degree {d}"
-            assert rep.ties == (), f"degree {d}"
-
-
-def test_criterion_05_degree20_census(tables):
-    with budget("criterion 5 (degree-20 census)", 7200):
-        rep = scan(20, table=tables.get(20))
-        assert len(rep.violations) == 45
-        stat = interval_stat(rep, Partition.parse("1,2^2,4,11"),
-                             Partition.parse("2,5,13"))
-        assert stat.cardinality == 151
-        assert [str(p) for p in stat.violations_inside] == ["2,5,13"]
-        assert max(r.length for r in rep.runs) >= 150
-
-
-def test_criterion_06_walk_oracle(tables):
-    with budget("criterion 6 (walk oracle d<=6)", 120):
-        for d in range(2, 7):
-            report = oracle_compare(d, 8, tables.get(d))
-            assert report.passed, report.mismatches[:3]
-            assert class_function_check(enumerate_counts(d, 8)).passed
-
-
-def test_criterion_07_catalan_identities(tables):
-    with budget("criterion 7 (catalan identities)", 60):
-        for d in range(1, 11):
-            t = tables.get(d)
-            for alpha in t.order:
-                assert series_coeff(alpha, vanishing_order(alpha), t) \
-                    == m0_catalan(alpha), alpha
-        ratios = {n: counterexample_family(n)[2] for n in range(1, 21)}
-        assert min(n for n, q in ratios.items() if q > 1) == 5
-        for n in range(1, 20):
-            assert ratios[n + 1] / ratios[n] == rat(2 * n + 1, n + 2)
-        assert ratios[20] / ratios[5] > 100
-
-
-def test_criterion_08_character_consistency(tables):
-    with budget("criterion 8 (character identities d<=12)", 300):
-        for d in range(1, 13):
-            t = tables.get(d)
-            counts = verify_table(t)  # row/column orthogonality, dimensions
-            assert counts["sum of squared dimensions"] == 1
-            assert sum(t.dimension(lam) ** 2 for lam in t.order) == factorial(d)
-        for d in range(2, 11):
-            t = tables.get(d)
-            for lam in t.order:
-                conj_row = t.row(conjugate(lam))
-                for j, alpha in enumerate(t.order):
-                    sign = -1 if (d - alpha.length) % 2 else 1
-                    assert t.row(lam)[j] == sign * conj_row[j]
-
-
-def test_criterion_09_positivity_and_parity(tables):
-    with budget("criterion 9 (positivity and parity)", 120):
-        for d in range(2, 11):
-            t = tables.get(d)
-            xs = [rat(1, 10 * d), rat(1, 2 * d), rat(1, d),
-                  rat(99, 100 * (d - 1))]
-            for alpha in t.order:
-                for x in xs:
-                    assert eval_M(alpha, x, t) > 0, (alpha, x)
-        for d in range(2, 7):
-            t = tables.get(d)
-            for alpha in t.order:
-                base = vanishing_order(alpha)
-                for r in range(0, 11):
-                    on_support = r >= base and (r - base) % 2 == 0
-                    if not on_support:
-                        assert series_coeff(alpha, r, t) == 0, (alpha, r)
-
-
-def test_criterion_10_scan_determinism(tables):
-    with budget("criterion 10 (worker determinism)", 600):
-        t = tables.get(16)
-        serial = scan(16, table=t, jobs=1)
-        fanned = scan(16, table=t, jobs=4)
-        assert serial.to_json() == fanned.to_json()
-        assert serial.to_csv() == fanned.to_csv()

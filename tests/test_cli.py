@@ -8,7 +8,8 @@ from pathlib import Path
 
 import pytest
 
-from wgmono import cli
+from wgmono import cli, selftest
+from wgmono.characters import CharacterTable, build_table, cache_store
 
 
 def run_cli(capsys, *argv):
@@ -218,3 +219,59 @@ class TestSelftest:
         assert code == 0
         assert "ok lex order d=6" in out
         assert "selftest quick:" in out
+
+    def test_check_names_unique(self):
+        names = [name for _, name, _ in selftest.CHECKS]
+        assert len(names) == len(set(names))
+
+    def test_levels_nest_as_prefixes(self):
+        quick, standard, extended = (selftest.checks(level)
+                                     for level in selftest.LEVELS)
+        assert standard[:len(quick)] == quick
+        assert extended[:len(standard)] == standard
+        assert extended == selftest.CHECKS
+
+    def test_standard_output_pinned(self):
+        lines = []
+        assert selftest.run_selftest("standard", use_cache=False,
+                                     emit=lines.append) == 0
+        assert lines == [f"ok {name}" for name in STANDARD_NAMES] + [
+            "selftest standard: 18 checks passed"]
+
+    def test_failed_identity_prints_fail_line(self, tmp_path):
+        # a d = 8 table with one changed entry under a valid checksum
+        good = build_table(8)
+        values = [list(row) for row in good.values]
+        values[3][5] += 1
+        bad = CharacterTable(8, good.order, tuple(map(tuple, values)))
+        cache_store(bad, tmp_path / "chartable_d8.wgct")
+        src = str(Path(cli.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=src, WG_CACHE_DIR=str(tmp_path))
+        run = subprocess.run(
+            [sys.executable, "-m", "wgmono.cli", "selftest", "--level", "standard",
+             "--jobs", "1"], env=env, capture_output=True, text=True)
+        assert run.returncode == 1
+        assert run.stdout.splitlines()[-1].startswith("FAIL ")
+        assert "Traceback" not in run.stderr
+
+
+STANDARD_NAMES = [
+    "lex order d=6",
+    "partition counts d<=8",
+    "successor chain d=7",
+    "conjugate involution d<=8",
+    "class sizes sum d<=8",
+    "character tables verify d<=6",
+    "conjugate sign symmetry d<=6",
+    "walk oracle d<=4",
+    "bottom coefficient catalan d<=8",
+    "series parity d<=5",
+    "scans monotone d<=8",
+    "family ratio growth",
+    "positivity samples d<=7",
+    "normalized pair d=13",
+    "violations d=13",
+    "walk oracle d<=6 r<=8",
+    "scans empty below 13",
+    "tables verify d<=10",
+]
