@@ -9,8 +9,9 @@ kernel module: the compiled ``_mnkernel_c`` when importable (build with
 ``python setup.py build_ext --inplace``), else the pure-Python twin.
 Set ``WG_PURE_PYTHON=1`` to force the fallback.
 
-Tables persist to a versioned, checksummed text file; ``WG_CACHE_DIR``
-selects the directory and an unset variable disables persistence.
+Tables persist to a versioned, checksummed text file of rows only (the
+class order is always ``lex_list(d)``); ``WG_CACHE_DIR`` selects the
+directory and an unset variable disables persistence.
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ from pathlib import Path
 from . import _mnkernel_py
 from .errors import CapExceededError, DegreeMismatchError, TableVerificationError
 from .exact import factorial
-from .partitions import Partition, as_partition, cell_stats, class_size, lex_list
+from .partitions import as_partition, cell_stats, class_size, lex_list
 from ._mnkernel_py import shape_mask
 
 try:
@@ -33,8 +34,8 @@ try:
 except ImportError:
     _mnkernel_c = None
 
-DEFAULT_MAX_DEGREE = 20
-CACHE_MAGIC = "WGCT1"
+MAX_DEGREE = 20
+CACHE_MAGIC = "WGCT2"
 CACHE_ENV = "WG_CACHE_DIR"
 
 
@@ -51,15 +52,20 @@ class CharacterTable:
     """Complete character table of S(d), lex order shared by rows and columns.
 
     ``values[i][j]`` is the character of the representation labeled by
-    ``order[i]`` on the class with cycle type ``order[j]``.
+    ``order[i]`` on the class with cycle type ``order[j]``.  The order is
+    ``lex_list(degree)``, derived here and never stored; ``values`` must
+    be p(d) x p(d), and this is the only place the shape is checked.
     """
 
-    def __init__(self, degree: int, order: tuple[Partition, ...],
-                 values: tuple[tuple[int, ...], ...]):
+    def __init__(self, degree: int, values: tuple[tuple[int, ...], ...]):
         self.degree = degree
-        self.order = order
+        self.order = tuple(lex_list(degree))
+        n = len(self.order)
+        if len(values) != n or any(len(row) != n for row in values):
+            raise TableVerificationError(
+                "shape", f"degree {degree}: values are not {n} x {n}")
         self.values = values
-        self._pos = {p: k for k, p in enumerate(order)}
+        self._pos = {p: k for k, p in enumerate(self.order)}
 
     def position(self, alpha) -> int:
         return self._pos[as_partition(alpha)]
@@ -80,7 +86,6 @@ class CharacterTable:
     def __eq__(self, other) -> bool:
         return (isinstance(other, CharacterTable)
                 and self.degree == other.degree
-                and self.order == other.order
                 and self.values == other.values)
 
     def __repr__(self) -> str:
@@ -106,20 +111,23 @@ def _columns_chunk(args):
     return active_kernel(d).compute_columns(masks, alphas)
 
 
-def build_table(d: int, *, jobs: int = 1,
-                max_degree: int = DEFAULT_MAX_DEGREE) -> CharacterTable:
-    """Build the complete table for degree d.
+def _check_cap(d: int) -> None:
+    if d < 1:
+        raise CapExceededError(f"degree must be >= 1, got {d}")
+    if d > MAX_DEGREE:
+        raise CapExceededError(
+            f"degree {d} beyond configured maximum {MAX_DEGREE}")
+
+
+def build_table(d: int, *, jobs: int = 1) -> CharacterTable:
+    """Build the complete table for degree d, at most ``MAX_DEGREE``.
 
     Work may fan out over column blocks (each worker re-deriving shared
     subproblems); the assembled table is identical for any job count.
     ``jobs`` is capped at the CPU count.
     """
-    if d < 1:
-        raise CapExceededError(f"degree must be >= 1, got {d}")
-    if d > max_degree:
-        raise CapExceededError(
-            f"degree {d} beyond configured maximum {max_degree}")
-    order = tuple(lex_list(d))
+    _check_cap(d)
+    order = lex_list(d)
     masks = [shape_mask(tuple(p)) for p in order]
     alphas = [tuple(p) for p in order]
 
@@ -136,15 +144,16 @@ def build_table(d: int, *, jobs: int = 1,
             for part in pool.map(_columns_chunk, chunks):
                 cols.extend(part)
 
-    return CharacterTable(d, order, tuple(zip(*cols)))
+    return CharacterTable(d, tuple(zip(*cols)))
 
 
 def verify_table(table: CharacterTable) -> dict[str, int]:
     """Run the exact self-consistency identities; raise on the first failure.
 
     Returns a map check-name -> number of instances verified, for
-    reporting.  Checks: the dimension column against the hook product,
-    sum of squared dimensions, and column orthogonality
+    reporting.  The table is square by construction: ``CharacterTable``
+    checks the shape.  Checks: the dimension column against the hook
+    product, sum of squared dimensions, and column orthogonality
     ``X^T X = D`` with ``D = diag(d!/|C_j|)``, every (j, k) pair exactly.
 
     Row orthogonality is implied and not run separately.  X is square and
@@ -168,10 +177,6 @@ def verify_table(table: CharacterTable) -> dict[str, int]:
     fact = factorial(d)
     sizes = [class_size(a) for a in order]
     counts: dict[str, int] = {}
-
-    if len(values) != n or any(len(row) != n for row in values):
-        raise TableVerificationError(
-            "shape", f"degree {d}: values are not {n} x {n}")
 
     dims = []
     for i, lam in enumerate(order):
@@ -228,10 +233,13 @@ def default_cache_path(d: int, cache_dir: str | os.PathLike | None = None) -> Pa
 
 
 def cache_store(table: CharacterTable, path: str | os.PathLike) -> None:
-    """Write the table atomically (temp file + rename) with a checksum."""
+    """Write the table atomically (temp file + rename) with a checksum.
+
+    The file is the header ``WGCT2 <d>``, one line per row and a
+    ``sha256 <hex>`` line over everything before it.
+    """
     path = Path(path)
-    lines = [CACHE_MAGIC, f"degree {table.degree}", f"count {len(table.order)}"]
-    lines.extend(str(p) for p in table.order)
+    lines = [f"{CACHE_MAGIC} {table.degree}"]
     lines.extend(" ".join(str(v) for v in row) for row in table.values)
     body = ("\n".join(lines) + "\n").encode("ascii")
     digest = hashlib.sha256(body).hexdigest()
@@ -250,64 +258,44 @@ def cache_store(table: CharacterTable, path: str | os.PathLike) -> None:
 def cache_load(d: int, path: str | os.PathLike) -> CharacterTable | None:
     """Load a table back, or None (plus a warning) on any mismatch.
 
-    Missing file, wrong magic or version, wrong degree, truncation and
-    checksum failures all return None; a partial table is never built.
+    A missing file is a silent miss.  A failed checksum, a header other
+    than ``WGCT2 <d>`` (an older format, another degree) and rows that do
+    not parse or do not form a p(d) x p(d) table each give one warning.
+    The class order is ``lex_list(d)``, never read from the file.
     """
     path = Path(path)
     try:
         raw = path.read_bytes()
     except OSError:
         return None
-
-    def reject(reason: str) -> None:
-        warnings.warn(f"ignoring character cache {path}: {reason}")
-
-    head, _, tail = raw.rpartition(b"sha256 ")
-    if not head:
-        reject("no checksum line")
-        return None
-    if hashlib.sha256(head).hexdigest().encode("ascii") != tail.strip():
-        reject("checksum mismatch")
-        return None
+    body, _, digest = raw.rpartition(b"sha256 ")
     try:
-        lines = head.decode("ascii").splitlines()
-        if lines[0] != CACHE_MAGIC:
-            reject(f"bad magic {lines[0]!r}")
-            return None
-        degree = int(lines[1].removeprefix("degree "))
-        count = int(lines[2].removeprefix("count "))
-        if degree != d:
-            reject(f"degree {degree}, wanted {d}")
-            return None
-        order = tuple(Partition.parse(t) for t in lines[3:3 + count])
-        rows = lines[3 + count:3 + 2 * count]
-        if len(rows) != count:
-            reject("truncated")
-            return None
-        values = tuple(tuple(map(int, row.split())) for row in rows)
-        if any(len(row) != count for row in values):
-            reject("ragged rows")
-            return None
-    except (ValueError, IndexError) as exc:
-        reject(f"parse error ({exc})")
+        if hashlib.sha256(body).hexdigest().encode("ascii") != digest.strip():
+            raise ValueError("checksum mismatch")
+        header, _, rows = body.decode("ascii").partition("\n")
+        if header != f"{CACHE_MAGIC} {d}":
+            raise ValueError(f"header {header!r}, wanted '{CACHE_MAGIC} {d}'")
+        return CharacterTable(
+            d, tuple(tuple(map(int, row.split())) for row in rows.splitlines()))
+    except (ValueError, TableVerificationError) as exc:
+        warnings.warn(f"ignoring character cache {path}: {exc}")
         return None
-    return CharacterTable(degree, order, values)
 
 
 def load_or_build(d: int, *, jobs: int = 1, use_cache: bool = True,
-                  cache_dir: str | os.PathLike | None = None,
-                  max_degree: int = DEFAULT_MAX_DEGREE) -> CharacterTable:
+                  cache_dir: str | os.PathLike | None = None) -> CharacterTable:
     """Table for degree d, through the cache when one is configured.
 
-    The cache is optional: a failed write warns and the built table is
-    returned anyway.
+    The degree cap is checked before any file is read.  The cache is
+    optional: a failed write warns and the built table is returned anyway.
     """
+    _check_cap(d)
     path = default_cache_path(d, cache_dir) if use_cache else None
     if path is not None:
         table = cache_load(d, path)
         if table is not None:
             return table
-    table = build_table(d, jobs=jobs, max_degree=max_degree)
+    table = build_table(d, jobs=jobs)
     if path is not None:
         try:
             cache_store(table, path)

@@ -2,7 +2,8 @@
 
 Verbs: eval, coeff, scan, walks, family, selftest.  Output goes to
 stdout; diagnostics to stderr.  Exit status 0 on success, 1 on domain
-errors (pole, malformed partition, caps exceeded), 2 on usage errors.
+errors (pole, malformed partition, caps exceeded) and on a character
+table that fails an exact identity, 2 on usage errors.
 
 Partitions are written "1,1,2" or "1^2,2" on input and always rendered
 in exponent form; rationals are "N/D" or "N" on input and always "N/D"
@@ -21,7 +22,7 @@ import sys
 
 from . import selftest
 from .characters import load_or_build
-from .errors import DomainError
+from .errors import DomainError, TableVerificationError
 from .exact import format_rat, parse_rat, rat
 from .genfun import (counterexample_family, eval_M, leading_ratio, normalizer,
                      series_coeff)
@@ -40,12 +41,13 @@ def build_parser() -> argparse.ArgumentParser:
         description="Exact monotone-walk generating functions and monotonicity scans.")
     sub = parser.add_subparsers(dest="verb", required=True)
 
-    def common(p, cache=True):
-        p.add_argument("--format", choices=("json", "csv", "text"), default="text")
-        p.add_argument("--jobs", type=int, default=_default_jobs(),
-                       help="worker count for table builds, at most the CPU count "
-                            "(scans run in one process)")
-        if cache:
+    def common(p, fmt=True, tables=True):
+        if fmt:
+            p.add_argument("--format", choices=("json", "csv", "text"), default="text")
+        if tables:
+            p.add_argument("--jobs", type=int, default=_default_jobs(),
+                           help="worker count for table builds, at most the CPU count "
+                                "(scans run in one process)")
             p.add_argument("--cache", choices=("on", "off"), default="on",
                            help="use WG_CACHE_DIR for character tables")
 
@@ -71,17 +73,17 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("walks", help="brute-force monotone walk counts")
     p.add_argument("--d", type=int, required=True)
     p.add_argument("--R", type=int, required=True)
-    common(p, cache=False)
+    common(p, tables=False)
 
     p = sub.add_parser("family", help="equal-length pair with growing small-x ratio")
     p.add_argument("--n", type=int, default=None)
     p.add_argument("--alpha", default=None, help="custom pair: first partition")
     p.add_argument("--beta", default=None, help="custom pair: second partition")
-    common(p, cache=False)
+    common(p, tables=False)
 
     p = sub.add_parser("selftest", help="run the built-in check suite")
     p.add_argument("--level", choices=selftest.LEVELS, default="quick")
-    common(p)
+    common(p, fmt=False)
 
     return parser
 
@@ -216,7 +218,7 @@ def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return _COMMANDS[args.verb](args)
-    except (DomainError, ZeroDivisionError, ValueError) as exc:
+    except (DomainError, TableVerificationError, ZeroDivisionError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

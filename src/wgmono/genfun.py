@@ -33,7 +33,7 @@ from fractions import Fraction
 from operator import mul
 
 from .characters import CharacterTable
-from .errors import DegreeMismatchError, PoleError
+from .errors import DegreeMismatchError, PoleError, TableVerificationError
 from .exact import catalan, factorial, int_pow, rat
 from .partitions import Partition, as_partition, cell_stats
 
@@ -112,7 +112,9 @@ def series_coeff(alpha, r: int, table: CharacterTable) -> int:
 
     Extracted from the character sum by expanding each shape's
     1 / prod(1 - c*x) into complete homogeneous sums of the contents;
-    with d!/H_lambda = f^lambda the sum is an integer over d!.
+    with d!/H_lambda = f^lambda the sum is an integer over d!.  A sum that
+    is not a non-negative multiple of d! can only come from a wrong table,
+    and raises ``TableVerificationError`` (also under ``python -O``).
     """
     a = as_partition(alpha)
     _check_degree(a, table)
@@ -127,8 +129,10 @@ def series_coeff(alpha, r: int, table: CharacterTable) -> int:
         f_lam = fact // stats.hook_product
         total += chi * f_lam * complete_homogeneous(stats.contents, r)
     count, rem = divmod(total, fact)
-    assert rem == 0, f"non-integer walk count for {a}, r={r}"
-    assert count >= 0, f"negative walk count for {a}, r={r}"
+    if rem or count < 0:
+        raise TableVerificationError(
+            "walk count",
+            f"alpha={a}, r={r}: {Fraction(total, fact)} is not a non-negative integer")
     return count
 
 

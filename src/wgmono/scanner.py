@@ -126,7 +126,7 @@ def _runs(order: tuple[Partition, ...], violations: list[int]) -> tuple[Run, ...
 
 
 def scan(d: int, x: Fraction | None = None, *, table: CharacterTable | None = None,
-         jobs: int = 1, use_cache: bool = True) -> ScanReport:
+         jobs: int = 1) -> ScanReport:
     """Evaluate every partition of d at x (default 1/d) and classify.
 
     Every value is one integer dot product against the common-denominator
@@ -136,7 +136,7 @@ def scan(d: int, x: Fraction | None = None, *, table: CharacterTable | None = No
     worker count for a table build when the table is not given.
     """
     if table is None:
-        table = load_or_build(d, jobs=jobs, use_cache=use_cache)
+        table = load_or_build(d, jobs=jobs)
     elif table.degree != d:
         raise DomainError(f"table degree {table.degree} does not match d={d}")
     x = rat(1, d) if x is None else Fraction(x)

@@ -1,10 +1,14 @@
 import concurrent.futures
+import hashlib
 import itertools
 import os
 import random
+import shutil
+import warnings
 
 import pytest
 
+from wgmono import cli
 from wgmono.characters import (
     CharacterTable,
     build_table,
@@ -151,7 +155,38 @@ def accepts(check, table):
 
 
 def with_values(table, rows):
-    return CharacterTable(table.degree, table.order, tuple(tuple(r) for r in rows))
+    return CharacterTable(table.degree, tuple(tuple(r) for r in rows))
+
+
+def write_checksummed(path, body):
+    digest = hashlib.sha256(body).hexdigest()
+    path.write_bytes(body + f"sha256 {digest}\n".encode())
+
+
+def body_of(lines):
+    return ("\n".join(lines) + "\n").encode("utf-8")
+
+
+def wgct1_body(degree, order, values):
+    """The older layout: degree, count and class-order lines before the rows."""
+    return body_of(["WGCT1", f"degree {degree}", f"count {len(order)}"]
+                   + [str(p) for p in order]
+                   + [" ".join(map(str, row)) for row in values])
+
+
+# Damaged WGCT2 bodies of the d = 4 table, as functions of its lines; the
+# last row is the trivial character, "1 1 1 1 1".
+DAMAGED_BODIES = {
+    "too few rows": lambda lines: body_of(lines[:-1]),
+    "extra row": lambda lines: body_of(lines + lines[-1:]),
+    "short row": lambda lines: body_of(lines[:-1] + [lines[-1][:-2]]),
+    "long row": lambda lines: body_of(lines[:-1] + [lines[-1] + " 1"]),
+    "non-integer token": lambda lines: body_of(lines[:-1] + ["1 1 1.5 1 1"]),
+    # U+FF11 FULLWIDTH DIGIT ONE, which int() would read as 1
+    "non-ascii bytes": lambda lines: body_of(lines[:-1] + ["1 1 \uff11 1 1"]),
+    "empty body": lambda lines: b"",
+    "wrong degree header": lambda lines: body_of(["WGCT2 5"] + lines[1:]),
+}
 
 
 class TestBuildTable:
@@ -174,10 +209,6 @@ class TestBuildTable:
             build_table(21)
         with pytest.raises(CapExceededError):
             build_table(0)
-
-    def test_raised_maximum_allows_more(self):
-        t = build_table(21, max_degree=21)
-        assert t.degree == 21 and len(t.order) == 792
 
     def test_repeat_builds_identical(self):
         assert build_table(9) == build_table(9)
@@ -224,7 +255,14 @@ class TestBuildTable:
             assert t.dimension(lam) == factorial(d) // cell_stats(lam).hook_product
 
 
-@pytest.mark.skipif(_mnkernel_c is None, reason="compiled kernel not built")
+def kernel_skip_reason():
+    compiler = next(filter(None, map(shutil.which, ("c++", "g++", "clang++"))), None)
+    found = f"C++ compiler {compiler}" if compiler else "no C++ compiler"
+    return (f"compiled kernel not built ({found} on PATH); "
+            "build it with: python setup.py build_ext --inplace")
+
+
+@pytest.mark.skipif(_mnkernel_c is None, reason=kernel_skip_reason())
 class TestKernelParity:
     @pytest.mark.parametrize("d", range(1, 13))
     def test_columns_agree(self, d):
@@ -245,7 +283,7 @@ class TestVerifyTable:
         t = tables.get(5)
         rows = [list(r) for r in t.values]
         rows[2][3] += 1
-        bad = CharacterTable(5, t.order, tuple(tuple(r) for r in rows))
+        bad = CharacterTable(5, tuple(tuple(r) for r in rows))
         with pytest.raises(TableVerificationError) as err:
             verify_table(bad)
         assert "orthogonality" in str(err.value) or "dimension" in str(err.value)
@@ -254,7 +292,7 @@ class TestVerifyTable:
         t = tables.get(4)
         rows = [list(r) for r in t.values]
         rows[1][0] += 1
-        bad = CharacterTable(4, t.order, tuple(tuple(r) for r in rows))
+        bad = CharacterTable(4, tuple(tuple(r) for r in rows))
         with pytest.raises(TableVerificationError, match="dimension"):
             verify_table(bad)
 
@@ -342,7 +380,7 @@ class TestCache:
     def test_corrupted_body(self, tmp_path, tables):
         path = tmp_path / "t4.wgct"
         cache_store(tables.get(4), path)
-        raw = path.read_bytes().replace(b"degree 4", b"degree 5", 1)
+        raw = path.read_bytes().replace(b"WGCT2 4", b"WGCT2 5", 1)
         path.write_bytes(raw)
         with pytest.warns(UserWarning, match="checksum"):
             assert cache_load(4, path) is None
@@ -350,11 +388,9 @@ class TestCache:
     def test_version_mismatch(self, tmp_path, tables):
         path = tmp_path / "t3.wgct"
         cache_store(tables.get(3), path)
-        body = path.read_bytes().split(b"sha256 ")[0].replace(b"WGCT1", b"WGCT2", 1)
-        import hashlib
-        path.write_bytes(body + b"sha256 " +
-                         hashlib.sha256(body).hexdigest().encode() + b"\n")
-        with pytest.warns(UserWarning, match="magic"):
+        body = path.read_bytes().split(b"sha256 ")[0].replace(b"WGCT2", b"WGCT3", 1)
+        write_checksummed(path, body)
+        with pytest.warns(UserWarning, match="header"):
             assert cache_load(3, path) is None
 
     def test_truncation(self, tmp_path, tables):
@@ -367,8 +403,68 @@ class TestCache:
     def test_wrong_degree_requested(self, tmp_path, tables):
         path = tmp_path / "t5.wgct"
         cache_store(tables.get(5), path)
-        with pytest.warns(UserWarning, match="degree"):
+        with pytest.warns(UserWarning, match="header 'WGCT2 5', wanted 'WGCT2 6'"):
             assert cache_load(6, path) is None
+
+    @pytest.mark.parametrize("damage", DAMAGED_BODIES.values(),
+                             ids=DAMAGED_BODIES.keys())
+    def test_damaged_body_one_warning(self, tmp_path, tables, damage):
+        path = tmp_path / "t4.wgct"
+        cache_store(tables.get(4), path)
+        lines = path.read_bytes().split(b"sha256 ")[0].decode().splitlines()
+        assert lines[0] == "WGCT2 4" and lines[-1] == "1 1 1 1 1"
+        write_checksummed(path, damage(lines))
+        with pytest.warns(UserWarning) as record:
+            assert cache_load(4, path) is None
+        assert len(record) == 1
+
+    def test_constructor_checks_shape(self, tables):
+        rows = tables.get(4).values
+        for bad in (rows[:-1], rows + rows[-1:], rows[:-1] + (rows[-1][:-1],),
+                    rows[:-1] + (rows[-1] + (1,),)):
+            with pytest.raises(TableVerificationError, match="shape"):
+                CharacterTable(4, bad)
+
+    def test_order_is_derived(self, tables):
+        t = CharacterTable(6, tables.get(6).values)
+        assert t.order == tuple(lex_list(6)) and t == tables.get(6)
+
+    def test_wgct1_reversed_order_does_not_change_scan(
+            self, tmp_path, monkeypatch, capsys, tables):
+        # A valid d = 13 table listed in reversed class order under a valid
+        # checksum.  Trusting its order lines gives 99 violations, not 1^6,7.
+        t = tables.get(13)
+        reversed_rows = [row[::-1] for row in t.values[::-1]]
+        write_checksummed(tmp_path / "chartable_d13.wgct",
+                          wgct1_body(13, t.order[::-1], reversed_rows))
+        monkeypatch.setenv("WG_CACHE_DIR", str(tmp_path))
+        with pytest.warns(UserWarning, match="header 'WGCT1'"):
+            assert cli.main(["scan", "--d", "13", "--jobs", "1"]) == 0
+        cached = capsys.readouterr().out
+        assert cli.main(["scan", "--d", "13", "--jobs", "1", "--cache", "off"]) == 0
+        assert cached == capsys.readouterr().out
+        assert "violations 1\n  1^6,7\n" in cached
+
+    def test_wgct1_file_rewritten_once(self, tmp_path, tables):
+        path = default_cache_path(6, tmp_path)
+        t = tables.get(6)
+        write_checksummed(path, wgct1_body(6, t.order, t.values))
+        with pytest.warns(UserWarning) as record:
+            assert load_or_build(6, cache_dir=tmp_path) == t
+        assert len(record) == 1
+        assert "header 'WGCT1', wanted 'WGCT2 6'" in str(record[0].message)
+        assert path.read_bytes().startswith(b"WGCT2 6\n")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert load_or_build(6, cache_dir=tmp_path) == t
+
+    def test_cap_checked_before_any_file_is_read(self, tmp_path):
+        # the derived order would cost lex_list(21) before the rows are seen
+        write_checksummed(default_cache_path(21, tmp_path), b"WGCT2 21\n1\n")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(CapExceededError, match="beyond configured maximum 20"):
+                load_or_build(21, cache_dir=tmp_path)
 
     def test_default_path_disabled_without_env(self, monkeypatch):
         monkeypatch.delenv("WG_CACHE_DIR", raising=False)

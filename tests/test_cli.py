@@ -10,12 +10,27 @@ import pytest
 
 from wgmono import cli, selftest
 from wgmono.characters import CharacterTable, build_table, cache_store
+from wgmono.partitions import Partition
 
 
 def run_cli(capsys, *argv):
     code = cli.main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def bad_d8_cache_env(tmp_path, lam, alpha):
+    """Environment whose cache holds a d = 8 table with chi(lam, alpha) + 1.
+
+    The file carries a valid checksum, so only the arithmetic can notice.
+    """
+    good = build_table(8)
+    values = [list(row) for row in good.values]
+    values[good.position(lam)][good.position(alpha)] += 1
+    cache_store(CharacterTable(8, tuple(map(tuple, values))),
+                tmp_path / "chartable_d8.wgct")
+    src = str(Path(cli.__file__).resolve().parents[1])
+    return dict(os.environ, PYTHONPATH=src, WG_CACHE_DIR=str(tmp_path))
 
 
 class TestEval:
@@ -65,6 +80,21 @@ class TestCoeff:
                                "--format", "json")
         assert code == 0
         assert json.loads(out) == {"alpha": "1^2", "r": 2, "count": "1"}
+
+    @pytest.mark.parametrize("flags", [[], ["-O"]], ids=["python", "python -O"])
+    def test_wrong_table_is_one_error_line(self, tmp_path, flags):
+        # The true count is 58; a wrong table must not print a number,
+        # also when asserts are stripped.
+        env = bad_d8_cache_env(tmp_path, Partition.parse("1^5,3"),
+                               Partition.parse("1^4,2^2"))
+        run = subprocess.run(
+            [sys.executable, *flags, "-m", "wgmono.cli", "coeff",
+             "--alpha", "1^4,2^2", "--r", "4"], env=env, capture_output=True, text=True)
+        assert run.returncode == 1
+        assert run.stdout == ""
+        assert run.stderr.splitlines() == [
+            "error: walk count failed: alpha=1^4,2^2, r=4: "
+            "38649/640 is not a non-negative integer"]
 
 
 class TestScan:
@@ -239,14 +269,8 @@ class TestSelftest:
             "selftest standard: 18 checks passed"]
 
     def test_failed_identity_prints_fail_line(self, tmp_path):
-        # a d = 8 table with one changed entry under a valid checksum
-        good = build_table(8)
-        values = [list(row) for row in good.values]
-        values[3][5] += 1
-        bad = CharacterTable(8, good.order, tuple(map(tuple, values)))
-        cache_store(bad, tmp_path / "chartable_d8.wgct")
-        src = str(Path(cli.__file__).resolve().parents[1])
-        env = dict(os.environ, PYTHONPATH=src, WG_CACHE_DIR=str(tmp_path))
+        env = bad_d8_cache_env(tmp_path, Partition.parse("1^4,2^2"),
+                               Partition.parse("1^3,2,3"))
         run = subprocess.run(
             [sys.executable, "-m", "wgmono.cli", "selftest", "--level", "standard",
              "--jobs", "1"], env=env, capture_output=True, text=True)

@@ -3,7 +3,8 @@ from fractions import Fraction
 
 import pytest
 
-from wgmono.errors import DegreeMismatchError, PoleError
+from wgmono.characters import CharacterTable
+from wgmono.errors import DegreeMismatchError, PoleError, TableVerificationError
 from wgmono.exact import catalan, factorial, rat
 from wgmono.genfun import (
     complete_homogeneous,
@@ -185,6 +186,17 @@ class TestSeriesCoeff:
         t = tables.get(d)
         for alpha in t.order:
             assert series_coeff(alpha, vanishing_order(alpha), t) == m0_catalan(alpha)
+
+    def test_negative_count_raises(self, tables):
+        # chi((4), (2,2)) lowered by 4! keeps the sum a multiple of 4! but
+        # moves the one-step count of 2^2 from 0 to -h_1(0,1,2,3) = -6.
+        t = tables.get(4)
+        values = [list(row) for row in t.values]
+        values[t.position((4,))][t.position((2, 2))] -= factorial(4)
+        bad = CharacterTable(4, tuple(map(tuple, values)))
+        with pytest.raises(TableVerificationError,
+                           match="alpha=2\\^2, r=1: -6 is not a non-negative integer"):
+            series_coeff((2, 2), 1, bad)
 
 
 class TestVanishingOrder:
