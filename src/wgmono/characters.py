@@ -1,13 +1,10 @@
-"""Irreducible characters of the symmetric group via border-strip recursion.
+"""Irreducible characters of the symmetric group via border strips.
 
 A :class:`CharacterTable` holds the complete integer table for one
 degree, rows and columns both indexed by the lex-ordered partition list.
-Construction strips the largest remaining part of the class partition
-first and memoizes on (shape, remaining parts), so one table build
-shares subproblems across all columns.  The inner recursion lives in a
-kernel module: the compiled ``_mnkernel_c`` when importable (build with
-``python setup.py build_ext --inplace``), else the pure-Python twin.
-Set ``WG_PURE_PYTHON=1`` to force the fallback.
+Construction runs the column DP of ``_mnkernel_py``, which adds the
+parts of each class partition as border strips to the empty shape, so
+classes that share their smaller parts share that work.
 
 Tables persist to a versioned, checksummed text file of rows only (the
 class order is always ``lex_list(d)``); ``WG_CACHE_DIR`` selects the
@@ -29,22 +26,13 @@ from .exact import factorial
 from .partitions import as_partition, cell_stats, class_size, lex_list
 from ._mnkernel_py import shape_mask
 
-try:
-    from . import _mnkernel_c
-except ImportError:
-    _mnkernel_c = None
-
 MAX_DEGREE = 20
 CACHE_MAGIC = "WGCT2"
 CACHE_ENV = "WG_CACHE_DIR"
 
 
 def active_kernel(d: int):
-    """Kernel module used for degree d (compiled when present and in range)."""
-    if os.environ.get("WG_PURE_PYTHON"):
-        return _mnkernel_py
-    if _mnkernel_c is not None and d <= _mnkernel_c.MAX_DEGREE:
-        return _mnkernel_c
+    """Kernel module used for degree d: always the column DP."""
     return _mnkernel_py
 
 
@@ -93,7 +81,10 @@ class CharacterTable:
 
 
 def mn_character(lam, alpha) -> int:
-    """Single character value by the border-strip recursion.
+    """Single character value, degree at most ``MAX_DEGREE``.
+
+    The column DP runs over every shape of each smaller degree, so one
+    value costs about what one column of the table costs.
 
     >>> mn_character((1, 2), (3,))
     -1
@@ -102,13 +93,8 @@ def mn_character(lam, alpha) -> int:
     if l.degree != a.degree:
         raise DegreeMismatchError(
             f"shape has degree {l.degree}, class has degree {a.degree}")
-    kernel = active_kernel(l.degree)
-    return kernel.compute_columns([shape_mask(tuple(l))], [tuple(a)])[0][0]
-
-
-def _columns_chunk(args):
-    masks, alphas, d = args
-    return active_kernel(d).compute_columns(masks, alphas)
+    _check_cap(l.degree)
+    return _mnkernel_py.compute_columns([shape_mask(tuple(l))], [tuple(a)])[0][0]
 
 
 def _check_cap(d: int) -> None:
@@ -122,28 +108,12 @@ def _check_cap(d: int) -> None:
 def build_table(d: int, *, jobs: int = 1) -> CharacterTable:
     """Build the complete table for degree d, at most ``MAX_DEGREE``.
 
-    Work may fan out over column blocks (each worker re-deriving shared
-    subproblems); the assembled table is identical for any job count.
-    ``jobs`` is capped at the CPU count.
+    The build runs in one process; ``jobs`` is accepted and has no effect.
     """
     _check_cap(d)
     order = lex_list(d)
-    masks = [shape_mask(tuple(p)) for p in order]
-    alphas = [tuple(p) for p in order]
-
-    jobs = min(jobs, os.cpu_count() or 1)
-    if jobs <= 1 or len(order) < 4 * jobs:
-        cols = active_kernel(d).compute_columns(masks, alphas)
-    else:
-        step = (len(alphas) + jobs - 1) // jobs
-        chunks = [(masks, alphas[k:k + step], d)
-                  for k in range(0, len(alphas), step)]
-        from concurrent.futures import ProcessPoolExecutor
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            cols = []
-            for part in pool.map(_columns_chunk, chunks):
-                cols.extend(part)
-
+    cols = _mnkernel_py.compute_columns([shape_mask(tuple(p)) for p in order],
+                                        [tuple(p) for p in order])
     return CharacterTable(d, tuple(zip(*cols)))
 
 
@@ -288,6 +258,7 @@ def load_or_build(d: int, *, jobs: int = 1, use_cache: bool = True,
 
     The degree cap is checked before any file is read.  The cache is
     optional: a failed write warns and the built table is returned anyway.
+    ``jobs`` is accepted and has no effect.
     """
     _check_cap(d)
     path = default_cache_path(d, cache_dir) if use_cache else None
@@ -295,7 +266,7 @@ def load_or_build(d: int, *, jobs: int = 1, use_cache: bool = True,
         table = cache_load(d, path)
         if table is not None:
             return table
-    table = build_table(d, jobs=jobs)
+    table = build_table(d)
     if path is not None:
         try:
             cache_store(table, path)

@@ -8,7 +8,8 @@ table that fails an exact identity, 2 on usage errors.
 Partitions are written "1,1,2" or "1^2,2" on input and always rendered
 in exponent form; rationals are "N/D" or "N" on input and always "N/D"
 reduced on output.  WG_CACHE_DIR (with --cache on, the default) selects
-a directory for persistent character tables.
+a directory for persistent character tables.  Library warnings, such as
+a rejected cache file, print as one ``warning:`` line each.
 """
 
 from __future__ import annotations
@@ -17,8 +18,8 @@ import argparse
 import csv
 import io
 import json
-import os
 import sys
+import warnings
 
 from . import selftest
 from .characters import load_or_build
@@ -31,10 +32,6 @@ from .scanner import interval_stat, scan
 from .walks import enumerate_counts
 
 
-def _default_jobs() -> int:
-    return os.cpu_count() or 1
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="wgmono",
@@ -45,9 +42,6 @@ def build_parser() -> argparse.ArgumentParser:
         if fmt:
             p.add_argument("--format", choices=("json", "csv", "text"), default="text")
         if tables:
-            p.add_argument("--jobs", type=int, default=_default_jobs(),
-                           help="worker count for table builds, at most the CPU count "
-                                "(scans run in one process)")
             p.add_argument("--cache", choices=("on", "off"), default="on",
                            help="use WG_CACHE_DIR for character tables")
 
@@ -89,7 +83,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _table_for(d, args):
-    return load_or_build(d, jobs=args.jobs, use_cache=args.cache == "on")
+    return load_or_build(d, use_cache=args.cache == "on")
 
 
 def _cmd_eval(args) -> int:
@@ -186,22 +180,20 @@ def _cmd_family(args) -> int:
         ratio = leading_ratio(alpha, beta)
     else:
         raise DomainError("family needs --n, or both --alpha and --beta")
+    # the whole text first: formatting a huge ratio can fail
     if args.format == "json":
-        print(json.dumps({"alpha": str(alpha), "beta": str(beta),
-                          "ratio": format_rat(ratio)}, indent=2))
+        text = json.dumps({"alpha": str(alpha), "beta": str(beta),
+                           "ratio": format_rat(ratio)}, indent=2)
     elif args.format == "csv":
-        print("alpha,beta,ratio")
-        print(f'"{alpha}","{beta}",{format_rat(ratio)}')
+        text = f'alpha,beta,ratio\n"{alpha}","{beta}",{format_rat(ratio)}'
     else:
-        print(f"alpha {alpha}")
-        print(f"beta {beta}")
-        print(f"ratio {format_rat(ratio)}")
+        text = f"alpha {alpha}\nbeta {beta}\nratio {format_rat(ratio)}"
+    print(text)
     return 0
 
 
 def _cmd_selftest(args) -> int:
-    return selftest.run_selftest(args.level, jobs=args.jobs,
-                                 use_cache=args.cache == "on")
+    return selftest.run_selftest(args.level, use_cache=args.cache == "on")
 
 
 _COMMANDS = {
@@ -214,13 +206,21 @@ _COMMANDS = {
 }
 
 
+def _warning_line(message, category, filename, lineno, line=None) -> str:
+    return f"warning: {message}\n"
+
+
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
+    formatwarning = warnings.formatwarning
+    warnings.formatwarning = _warning_line
     try:
         return _COMMANDS[args.verb](args)
     except (DomainError, TableVerificationError, ZeroDivisionError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    finally:
+        warnings.formatwarning = formatwarning
 
 
 if __name__ == "__main__":

@@ -132,11 +132,10 @@ def scan(d: int, x: Fraction | None = None, *, table: CharacterTable | None = No
     Every value is one integer dot product against the common-denominator
     weights of ``table_weights``; the sums are classified as integers
     (the shared scale is positive) and become ``Fraction`` values only in
-    the report.  The scan runs in one process: ``jobs`` only sets the
-    worker count for a table build when the table is not given.
+    the report.  ``jobs`` is accepted and has no effect.
     """
     if table is None:
-        table = load_or_build(d, jobs=jobs)
+        table = load_or_build(d)
     elif table.degree != d:
         raise DomainError(f"table degree {table.degree} does not match d={d}")
     x = rat(1, d) if x is None else Fraction(x)

@@ -16,7 +16,7 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import lru_cache, partial
 
-from .characters import build_table, load_or_build, verify_table
+from .characters import load_or_build, verify_table
 from .exact import factorial, rat
 from .genfun import (
     counterexample_family,
@@ -212,11 +212,6 @@ def scan_d20_census(table):
     _require(max(r.length for r in rep.runs) >= 150, "no long monotone run")
 
 
-def build_jobs_invariance_d16(table):
-    _require(build_table(16, jobs=1) == build_table(16, jobs=2),
-             "degree-16 table depends on the worker count")
-
-
 CHECKS = [
     ("quick", "lex order d=6", lex_order_d6),
     ("quick", "partition counts d<=8", partition_counts),
@@ -259,7 +254,6 @@ CHECKS = [
     ("extended", "table verify d=11", partial(tables_verify, degrees=(11,))),
     ("extended", "table verify d=12", partial(tables_verify, degrees=(12,))),
     ("extended", "scan d=20 census", scan_d20_census),
-    ("extended", "table build jobs invariance d=16", build_jobs_invariance_d16),
 ]
 
 
@@ -271,12 +265,11 @@ def checks(level: str) -> list:
     return [c for c in CHECKS if LEVELS.index(c[0]) <= top]
 
 
-def run_selftest(level: str = "quick", *, jobs: int = 1, use_cache: bool = True,
-                 emit=print) -> int:
+def run_selftest(level: str = "quick", *, use_cache: bool = True, emit=print) -> int:
     """Run checks up to the given level; 0 on success, 1 at first failure."""
     selected = checks(level)
     table = lru_cache(maxsize=None)(
-        partial(load_or_build, jobs=jobs, use_cache=use_cache))
+        partial(load_or_build, use_cache=use_cache))
     for _, name, check in selected:
         try:
             check(table)

@@ -52,8 +52,6 @@ BUDGETS = {
     "positivity samples d<=10": 120,
     "series parity d<=5": 120,
     "series parity d<=6 r<=10": 120,
-    # worker determinism
-    "table build jobs invariance d=16": 600,
 }
 
 CHECKS = selftest.checks("extended")

@@ -1,9 +1,6 @@
-import concurrent.futures
 import hashlib
 import itertools
-import os
 import random
-import shutil
 import warnings
 
 import pytest
@@ -23,11 +20,6 @@ from wgmono.errors import CapExceededError, DegreeMismatchError, TableVerificati
 from wgmono.exact import factorial
 from wgmono.partitions import Partition, cell_stats, class_size, conjugate, lex_list
 from wgmono import _mnkernel_py
-
-try:
-    from wgmono import _mnkernel_c
-except ImportError:
-    _mnkernel_c = None
 
 
 def frobenius_character(lam, alpha):
@@ -84,6 +76,10 @@ class TestMnCharacter:
     def test_degree_mismatch(self):
         with pytest.raises(DegreeMismatchError):
             mn_character((1, 2), (4,))
+
+    def test_beyond_maximum(self):
+        with pytest.raises(CapExceededError, match="beyond configured maximum 20"):
+            mn_character((21,), (1, 20))
 
     @pytest.mark.parametrize("d", range(1, 6))
     def test_against_frobenius_oracle(self, d, tables):
@@ -213,31 +209,6 @@ class TestBuildTable:
     def test_repeat_builds_identical(self):
         assert build_table(9) == build_table(9)
 
-    def test_worker_count_invariance(self):
-        assert build_table(10, jobs=1) == build_table(10, jobs=3)
-
-    def test_jobs_clamped_to_cpu_count(self, monkeypatch):
-        # a recording stand-in: no real pool is started
-        started = []
-
-        class RecordingExecutor:
-            def __init__(self, max_workers):
-                started.append(max_workers)
-
-            def __enter__(self):
-                return self
-
-            def __exit__(self, *exc):
-                return False
-
-            def map(self, fn, items):
-                return map(fn, items)
-
-        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingExecutor)
-        monkeypatch.setattr(os, "cpu_count", lambda: 3)
-        assert build_table(10, jobs=100) == build_table(10, jobs=1)
-        assert started == [3]
-
     @pytest.mark.parametrize("d", range(2, 11))
     def test_conjugate_sign_symmetry(self, d, tables):
         t = tables.get(d)
@@ -255,22 +226,82 @@ class TestBuildTable:
             assert t.dimension(lam) == factorial(d) // cell_stats(lam).hook_product
 
 
-def kernel_skip_reason():
-    compiler = next(filter(None, map(shutil.which, ("c++", "g++", "clang++"))), None)
-    found = f"C++ compiler {compiler}" if compiler else "no C++ compiler"
-    return (f"compiled kernel not built ({found} on PATH); "
-            "build it with: python setup.py build_ext --inplace")
+def reference_columns(masks, alphas):
+    """Reference oracle: the memoized border-strip recursion.
+
+    This is the kernel ``build_table`` ran before the column DP: it
+    removes the largest remaining part of the class as a border strip,
+    recurses on the smaller shape and memoizes on (shape, remaining
+    parts), interned as a prefix trie.  Same bead masks and signs.
+    """
+    parent, last, ids = [0], [0], {(): 0}
+
+    def intern(t):
+        pid = ids.get(t)
+        if pid is None:
+            par = intern(t[:-1])
+            ids[t] = pid = len(parent)
+            parent.append(par)
+            last.append(t[-1])
+        return pid
+
+    memo = {}
+
+    def value(mask, pid):
+        if pid == 0:
+            return 1  # empty class partition forces the empty shape
+        v = memo.get((mask, pid))
+        if v is not None:
+            return v
+        r, par, total, m = last[pid], parent[pid], 0, mask
+        while m:
+            low = m & -m
+            m ^= low
+            nb = low.bit_length() - 1 - r
+            if nb >= 0 and not (mask >> nb) & 1:
+                between = (mask >> (nb + 1)) & ((1 << (r - 1)) - 1)
+                sub = (mask ^ low) | (1 << nb)
+                while sub & 1:
+                    sub >>= 1
+                child = value(sub, par)
+                total += -child if between.bit_count() & 1 else child
+        memo[mask, pid] = total
+        return total
+
+    return [[value(m, intern(tuple(a))) for m in masks] for a in alphas]
 
 
-@pytest.mark.skipif(_mnkernel_c is None, reason=kernel_skip_reason())
-class TestKernelParity:
-    @pytest.mark.parametrize("d", range(1, 13))
-    def test_columns_agree(self, d):
-        order = lex_list(d)
-        masks = [_mnkernel_py.shape_mask(tuple(p)) for p in order]
-        alphas = [tuple(p) for p in order]
+def kernel_inputs(shapes, classes):
+    return [_mnkernel_py.shape_mask(tuple(p)) for p in shapes], [tuple(p) for p in classes]
+
+
+class TestKernelReference:
+    @pytest.mark.parametrize("d", range(1, 15))
+    def test_full_table(self, d):
+        masks, alphas = kernel_inputs(lex_list(d), lex_list(d))
         assert _mnkernel_py.compute_columns(masks, alphas) == \
-            _mnkernel_c.compute_columns(masks, alphas)
+            reference_columns(masks, alphas)
+
+    def test_random_subsets_shuffled(self):
+        # compute_columns takes any lists: subsets, repeats, any order
+        rng = random.Random(20261018)
+        for case in range(50):
+            order = lex_list(rng.randint(1, 12))
+            shapes = rng.choices(order, k=rng.randint(1, len(order)))
+            classes = rng.choices(order, k=rng.randint(1, len(order)))
+            masks, alphas = kernel_inputs(shapes, classes)
+            assert _mnkernel_py.compute_columns(masks, alphas) == \
+                reference_columns(masks, alphas), case
+
+    def test_single_values(self):
+        rng = random.Random(7)
+        pairs = [(lam, alpha) for d in range(1, 8)
+                 for lam in lex_list(d) for alpha in lex_list(d)]
+        pairs += [tuple(rng.sample(lex_list(d), 2)) for d in range(13, 21)]
+        for lam, alpha in pairs:
+            masks, alphas = kernel_inputs([lam], [alpha])
+            assert mn_character(lam, alpha) == \
+                reference_columns(masks, alphas)[0][0], (lam, alpha)
 
 
 class TestVerifyTable:
@@ -439,9 +470,9 @@ class TestCache:
                           wgct1_body(13, t.order[::-1], reversed_rows))
         monkeypatch.setenv("WG_CACHE_DIR", str(tmp_path))
         with pytest.warns(UserWarning, match="header 'WGCT1'"):
-            assert cli.main(["scan", "--d", "13", "--jobs", "1"]) == 0
+            assert cli.main(["scan", "--d", "13"]) == 0
         cached = capsys.readouterr().out
-        assert cli.main(["scan", "--d", "13", "--jobs", "1", "--cache", "off"]) == 0
+        assert cli.main(["scan", "--d", "13", "--cache", "off"]) == 0
         assert cached == capsys.readouterr().out
         assert "violations 1\n  1^6,7\n" in cached
 
@@ -479,15 +510,6 @@ class TestCache:
 
     def test_cache_identical_bytes_across_builds(self, tmp_path):
         a, b = tmp_path / "a.wgct", tmp_path / "b.wgct"
-        cache_store(build_table(8, jobs=1), a)
-        cache_store(build_table(8, jobs=2), b)
+        cache_store(build_table(8), a)
+        cache_store(build_table(8), b)
         assert a.read_bytes() == b.read_bytes()
-
-
-class TestPureKernelPath:
-    def test_env_forces_fallback(self, monkeypatch):
-        monkeypatch.setenv("WG_PURE_PYTHON", "1")
-        from wgmono.characters import active_kernel
-        assert active_kernel(5) is _mnkernel_py
-        t = build_table(5)
-        verify_table(t)

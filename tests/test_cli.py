@@ -41,7 +41,7 @@ class TestEval:
 
     def test_normalized_degree13_anchor(self, capsys):
         code, out, _ = run_cli(capsys, "eval", "--alpha", "1^6,7",
-                               "--x", "1/13", "--normalized", "--jobs", "1")
+                               "--x", "1/13", "--normalized")
         assert code == 0
         assert out == "30132115571/1149266300\n"
 
@@ -132,13 +132,6 @@ class TestScan:
         assert rows[0] == ["partition", "normalized"]
         assert len(rows) == 8
 
-    def test_worker_count_invariance(self, capsys):
-        _, base, _ = run_cli(capsys, "scan", "--d", "7", "--format", "json",
-                             "--jobs", "1")
-        _, fanned, _ = run_cli(capsys, "scan", "--d", "7", "--format", "json",
-                               "--jobs", "3")
-        assert base == fanned
-
     def test_degree_beyond_cap(self, capsys):
         code, _, err = run_cli(capsys, "scan", "--d", "21")
         assert code == 1
@@ -179,6 +172,13 @@ class TestFamily:
         assert code == 1
         assert "--n" in err
 
+    def test_unprintable_ratio_prints_nothing(self, capsys):
+        # the ratio has more digits than Python converts to str
+        code, out, err = run_cli(capsys, "family", "--n", "20000")
+        assert code == 1
+        assert out == ""
+        assert len(err.splitlines()) == 1 and err.startswith("error: ")
+
 
 class TestUsageErrors:
     def test_unknown_verb_exits_2(self, capsys):
@@ -195,6 +195,13 @@ class TestUsageErrors:
         with pytest.raises(SystemExit) as err:
             cli.main(["scan"])
         assert err.value.code == 2
+
+    def test_jobs_flag_rejected(self, capsys):
+        for argv in (["eval", "--alpha", "2"], ["coeff", "--alpha", "2", "--r", "1"],
+                     ["scan", "--d", "3"], ["selftest"]):
+            with pytest.raises(SystemExit) as err:
+                cli.main([*argv, "--jobs", "2"])
+            assert err.value.code == 2
 
 
 class TestCache:
@@ -228,8 +235,22 @@ class TestCache:
         broken, reference = run(), run("--cache", "off")
         assert broken.returncode == 0
         assert broken.stdout == reference.stdout == "27/40\n"
-        assert "Traceback" not in broken.stderr
-        assert "not caching character table" in broken.stderr
+        [line] = broken.stderr.splitlines()
+        assert line.startswith(f"warning: not caching character table at {blocker}")
+
+    def test_rejected_cache_file_is_one_warning_line(self, tmp_path):
+        path = tmp_path / "chartable_d3.wgct"
+        cache_store(build_table(3), path)
+        path.write_bytes(path.read_bytes().replace(b"WGCT2 3", b"WGCT2 4"))
+        src = str(Path(cli.__file__).resolve().parents[1])
+        run = subprocess.run(
+            [sys.executable, "-m", "wgmono.cli", "eval", "--alpha", "1,2"],
+            env=dict(os.environ, PYTHONPATH=src, WG_CACHE_DIR=str(tmp_path)),
+            capture_output=True, text=True)
+        assert run.returncode == 0
+        assert run.stdout == "27/40\n"
+        assert run.stderr.splitlines() == [
+            f"warning: ignoring character cache {path}: checksum mismatch"]
 
 
 class TestStartup:
@@ -237,15 +258,17 @@ class TestStartup:
         src = str(Path(cli.__file__).resolve().parents[1])
         probe = subprocess.run(
             [sys.executable, "-c",
-             "import sys, wgmono.cli; print('concurrent.futures.process' in sys.modules)"],
+             "import sys, wgmono.cli; "
+             "print(sorted(m for m in sys.modules "
+             "if m.split('.')[0] in ('concurrent', 'multiprocessing')))"],
             env=dict(os.environ, PYTHONPATH=src), capture_output=True, text=True)
         assert probe.returncode == 0, probe.stderr
-        assert probe.stdout == "False\n"
+        assert probe.stdout == "[]\n"
 
 
 class TestSelftest:
     def test_quick_level_passes(self, capsys):
-        code, out, _ = run_cli(capsys, "selftest", "--level", "quick", "--jobs", "1")
+        code, out, _ = run_cli(capsys, "selftest", "--level", "quick")
         assert code == 0
         assert "ok lex order d=6" in out
         assert "selftest quick:" in out
@@ -272,8 +295,8 @@ class TestSelftest:
         env = bad_d8_cache_env(tmp_path, Partition.parse("1^4,2^2"),
                                Partition.parse("1^3,2,3"))
         run = subprocess.run(
-            [sys.executable, "-m", "wgmono.cli", "selftest", "--level", "standard",
-             "--jobs", "1"], env=env, capture_output=True, text=True)
+            [sys.executable, "-m", "wgmono.cli", "selftest", "--level", "standard"],
+            env=env, capture_output=True, text=True)
         assert run.returncode == 1
         assert run.stdout.splitlines()[-1].startswith("FAIL ")
         assert "Traceback" not in run.stderr
