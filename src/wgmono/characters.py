@@ -15,20 +15,23 @@ from __future__ import annotations
 
 import hashlib
 import os
+import random
 import tempfile
 import warnings
+from math import prod
 from operator import mul
 from pathlib import Path
 
 from . import _mnkernel_py
 from .errors import CapExceededError, DegreeMismatchError, TableVerificationError
 from .exact import factorial
-from .partitions import as_partition, cell_stats, class_size, lex_list
+from .partitions import as_partition, cell_stats, conjugate, lex_list
 from ._mnkernel_py import shape_mask
 
 MAX_DEGREE = 20
 CACHE_MAGIC = "WGCT2"
 CACHE_ENV = "WG_CACHE_DIR"
+_PRIME = (1 << 127) - 1  # the modulus of the verify_table certificate
 
 
 def active_kernel(d: int):
@@ -117,79 +120,79 @@ def build_table(d: int, *, jobs: int = 1) -> CharacterTable:
     return CharacterTable(d, tuple(zip(*cols)))
 
 
+def _det_mod(m: list[list[int]]) -> int:
+    """Determinant modulo ``_PRIME`` by elimination; m is reduced and consumed."""
+    det = 1
+    for c in range(len(m)):
+        piv = next((r for r in range(c, len(m)) if m[r][c]), None)
+        if piv is None:
+            return 0
+        if piv != c:
+            m[c], m[piv], det = m[piv], m[c], -det
+        det = det * m[c][c] % _PRIME
+        inv = pow(m[c][c], -1, _PRIME)
+        for r in range(c + 1, len(m)):
+            f = m[r][c] * inv % _PRIME
+            m[r] = [(a - f * b) % _PRIME for a, b in zip(m[r], m[c])]
+    return det
+
+
 def verify_table(table: CharacterTable) -> dict[str, int]:
-    """Run the exact self-consistency identities; raise on the first failure.
+    """Certify the table by the Frobenius formula; raise on the first failure.
 
     Returns a map check-name -> number of instances verified, for
     reporting.  The table is square by construction: ``CharacterTable``
-    checks the shape.  Checks: the dimension column against the hook
-    product, sum of squared dimensions, and column orthogonality
-    ``X^T X = D`` with ``D = diag(d!/|C_j|)``, every (j, k) pair exactly.
+    checks the shape.  Checks, in order: the dimension column against the
+    hook product, ``|chi^lam(mu)| <= f^lam`` on every entry, and
+    ``p_mu(y) = sum_lam chi^lam(mu) s_lam(y) (mod P)`` for every class mu,
+    at one point y of F_P^d seeded by d, with P = 2^127 - 1.
 
-    Row orthogonality is implied and not run separately.  X is square and
-    D is invertible, so ``X^T X = D`` gives ``(D^-1 X^T) X = I``: the left
-    inverse of a square matrix is also its right inverse, so
-    ``X D^-1 X^T = I``, which is ``sum_k |C_k| X[i][k] X[j][k] = d! [i = j]``.
-    Its pair count is still reported under "row orthogonality".
-
-    The column pass packs each row into one integer with w-bit slots,
-    ``P_i = sum_k X[i][k] 2^(w k)``, so ``sum_i X[i][j] P_i`` carries the
-    whole Gram row ``sum_k G[j][k] 2^(w k)``.  With m the largest |entry|,
-    ``|G[j][k]| <= n m^2 < 2^(w-2)``, and so is every expected value, since
-    ``d!/|C_j| <= d! = sum_i f_i^2 <= n m^2`` once the dimension checks
-    passed.  Digits that small have one balanced base-2^w expansion, so the
-    packed integers are equal exactly when every slot is.
+    The Schur functions are a basis, so a wrong column leaves a nonzero
+    difference polynomial of degree d.  After the bound check each of its
+    coefficients is at most sum_lam 2 f^lam K_lam,nu <= 2 d! < P in size
+    (2 * 20! is about 5e18), so it stays nonzero mod P; by Schwartz-Zippel
+    a wrong table passes with probability at most d/P < 2^-122.
     """
     d = table.degree
     order = table.order
     values = table.values
     n = len(order)
     fact = factorial(d)
-    sizes = [class_size(a) for a in order]
-    counts: dict[str, int] = {}
 
-    dims = []
-    for i, lam in enumerate(order):
+    for lam, row in zip(order, values):
         hooks = cell_stats(lam).hook_product
-        expect, rem = divmod(fact, hooks)
-        if rem != 0 or values[i][0] != expect:
+        f, rem = divmod(fact, hooks)
+        if rem != 0 or row[0] != f:
             raise TableVerificationError(
                 "dimension column",
-                f"lambda={lam}: table {values[i][0]}, hooks give {fact}/{hooks}")
-        dims.append(expect)
-    counts["dimension column"] = n
+                f"lambda={lam}: table {row[0]}, hooks give {fact}/{hooks}")
+        if max(row) > f or min(row) < -f:
+            j = next(j for j, v in enumerate(row) if abs(v) > f)
+            raise TableVerificationError(
+                "character bound", f"lambda={lam}, alpha={order[j]}: |{row[j]}| > {f}")
 
-    if sum(f * f for f in dims) != fact:
-        raise TableVerificationError(
-            "sum of squared dimensions", f"degree {d}: != {d}!")
-    counts["sum of squared dimensions"] = 1
+    rng = random.Random(d)
+    y = [rng.randrange(_PRIME) for _ in range(d)]
+    h, e = [1] + [0] * d, [1] + [0] * d
+    for v in y:
+        for k in range(1, d + 1):
+            h[k] = (h[k] + v * h[k - 1]) % _PRIME
+        for k in range(d, 0, -1):
+            e[k] = (e[k] + v * e[k - 1]) % _PRIME
+    power = [sum(pow(v, k, _PRIME) for v in y) for k in range(d + 1)]
+    h += [0] * d  # negative Jacobi-Trudi indices wrap round into the zeros
+    e += [0] * d
+    schur = []
+    for lam in order:
+        rows, seq = (lam.rows, h) if len(lam) <= lam[-1] else (conjugate(lam).rows, e)
+        schur.append(_det_mod([[seq[r - a + b] for b in range(len(rows))]
+                               for a, r in enumerate(rows)]))
 
-    m = max(max(max(row), -min(row)) for row in values)
-    # w is the least multiple of 8 with n m^2 < 2^(w-2)
-    nbytes = ((n * m * m).bit_length() + 2 + 7) // 8
-    w = 8 * nbytes
-    # Slots are packed biased by 2^(w-1) so each is a non-negative w-bit
-    # field; subtracting the packed bias restores the signed entries.
-    bias = 1 << (w - 1)
-    unbias = int.from_bytes(bias.to_bytes(nbytes, "little") * n, "little")
-    packed = [int.from_bytes(b"".join([(v + bias).to_bytes(nbytes, "little")
-                                       for v in row]), "little") - unbias
-              for row in values]
-    cols = tuple(zip(*values))
-    for j, col in enumerate(cols):
-        if sum(map(mul, col, packed)) != (fact // sizes[j]) << (w * j):
-            # Earlier columns passed, so G[j][k] = G[k][j] is right for k < j.
-            for k in range(j, n):
-                s = sum(map(mul, col, cols[k]))
-                expect = fact // sizes[j] if j == k else 0
-                if s != expect:
-                    raise TableVerificationError(
-                        "column orthogonality",
-                        f"alpha={order[j]}, beta={order[k]}: got {s}, want {expect}")
-    counts["row orthogonality"] = n * (n + 1) // 2
-    counts["column orthogonality"] = n * (n + 1) // 2
+    for col, mu in zip(zip(*values), order):
+        if (sum(map(mul, col, schur)) - prod(power[k] for k in mu)) % _PRIME:
+            raise TableVerificationError("frobenius formula", f"alpha={mu}")
 
-    return counts
+    return {"dimension column": n, "character bound": n * n, "frobenius formula": n}
 
 
 # ---------------------------------------------------------------- cache
@@ -252,7 +255,7 @@ def cache_load(d: int, path: str | os.PathLike) -> CharacterTable | None:
         return None
 
 
-def load_or_build(d: int, *, jobs: int = 1, use_cache: bool = True,
+def load_or_build(d: int, *, jobs: int = 1,
                   cache_dir: str | os.PathLike | None = None) -> CharacterTable:
     """Table for degree d, through the cache when one is configured.
 
@@ -261,7 +264,7 @@ def load_or_build(d: int, *, jobs: int = 1, use_cache: bool = True,
     ``jobs`` is accepted and has no effect.
     """
     _check_cap(d)
-    path = default_cache_path(d, cache_dir) if use_cache else None
+    path = default_cache_path(d, cache_dir)
     if path is not None:
         table = cache_load(d, path)
         if table is not None:

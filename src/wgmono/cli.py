@@ -7,9 +7,9 @@ table that fails an exact identity, 2 on usage errors.
 
 Partitions are written "1,1,2" or "1^2,2" on input and always rendered
 in exponent form; rationals are "N/D" or "N" on input and always "N/D"
-reduced on output.  WG_CACHE_DIR (with --cache on, the default) selects
-a directory for persistent character tables.  Library warnings, such as
-a rejected cache file, print as one ``warning:`` line each.
+reduced on output.  WG_CACHE_DIR selects a directory for persistent
+character tables; unset or empty, nothing is cached.  Library warnings,
+such as a rejected cache file, print as one ``warning:`` line each.
 """
 
 from __future__ import annotations
@@ -38,92 +38,85 @@ def build_parser() -> argparse.ArgumentParser:
         description="Exact monotone-walk generating functions and monotonicity scans.")
     sub = parser.add_subparsers(dest="verb", required=True)
 
-    def common(p, fmt=True, tables=True):
-        if fmt:
-            p.add_argument("--format", choices=("json", "csv", "text"), default="text")
-        if tables:
-            p.add_argument("--cache", choices=("on", "off"), default="on",
-                           help="use WG_CACHE_DIR for character tables")
+    def formats(p):
+        p.add_argument("--format", choices=("json", "csv", "text"), default="text")
 
     p = sub.add_parser("eval", help="evaluate the generating function at one point")
     p.add_argument("--alpha", required=True, help="cycle type, e.g. 1^6,7")
     p.add_argument("--x", default=None, help="rational point N/D (default 1/d)")
     p.add_argument("--normalized", action="store_true",
                    help="rescale by (d!)^2 / d^d")
-    common(p)
+    formats(p)
 
     p = sub.add_parser("coeff", help="series coefficient: r-step walk count")
     p.add_argument("--alpha", required=True)
     p.add_argument("--r", type=int, required=True)
-    common(p)
+    formats(p)
 
     p = sub.add_parser("scan", help="scan all partitions of a degree")
     p.add_argument("--d", type=int, required=True)
     p.add_argument("--x", default=None)
     p.add_argument("--low", default=None, help="interval query: open lower bound")
     p.add_argument("--high", default=None, help="interval query: closed upper bound")
-    common(p)
+    formats(p)
 
     p = sub.add_parser("walks", help="brute-force monotone walk counts")
     p.add_argument("--d", type=int, required=True)
     p.add_argument("--R", type=int, required=True)
-    common(p, tables=False)
+    formats(p)
 
     p = sub.add_parser("family", help="equal-length pair with growing small-x ratio")
     p.add_argument("--n", type=int, default=None)
     p.add_argument("--alpha", default=None, help="custom pair: first partition")
     p.add_argument("--beta", default=None, help="custom pair: second partition")
-    common(p, tables=False)
+    formats(p)
 
     p = sub.add_parser("selftest", help="run the built-in check suite")
     p.add_argument("--level", choices=selftest.LEVELS, default="quick")
-    common(p, fmt=False)
 
     return parser
-
-
-def _table_for(d, args):
-    return load_or_build(d, use_cache=args.cache == "on")
 
 
 def _cmd_eval(args) -> int:
     alpha = Partition.parse(args.alpha)
     d = alpha.degree
     x = parse_rat(args.x) if args.x is not None else rat(1, d)
-    table = _table_for(d, args)
+    table = load_or_build(d)
     value = eval_M(alpha, x, table)
     normalized = value * normalizer(d)
     shown = normalized if args.normalized else value
+    # the whole text first: formatting a huge value can fail
     if args.format == "json":
-        doc = {"alpha": str(alpha), "x": format_rat(x),
-               "value": format_rat(value), "normalized": format_rat(normalized)}
-        print(json.dumps(doc, indent=2))
+        text = json.dumps({"alpha": str(alpha), "x": format_rat(x),
+                           "value": format_rat(value),
+                           "normalized": format_rat(normalized)}, indent=2)
     elif args.format == "csv":
-        print("alpha,x,value")
-        print(f'"{alpha}",{format_rat(x)},{format_rat(shown)}')
+        text = f'alpha,x,value\n"{alpha}",{format_rat(x)},{format_rat(shown)}'
     else:
-        print(format_rat(shown))
+        text = format_rat(shown)
+    print(text)
     return 0
 
 
 def _cmd_coeff(args) -> int:
     alpha = Partition.parse(args.alpha)
-    table = _table_for(alpha.degree, args)
+    table = load_or_build(alpha.degree)
     count = series_coeff(alpha, args.r, table)
+    # the whole text first: formatting a huge count can fail
     if args.format == "json":
-        print(json.dumps({"alpha": str(alpha), "r": args.r, "count": str(count)},
-                         indent=2))
+        text = json.dumps({"alpha": str(alpha), "r": args.r, "count": str(count)},
+                          indent=2)
     elif args.format == "csv":
-        print("alpha,r,count")
-        print(f'"{alpha}",{args.r},{count}')
+        text = f'alpha,r,count\n"{alpha}",{args.r},{count}'
     else:
-        print(count)
+        text = str(count)
+    print(text)
     return 0
 
 
 def _cmd_scan(args) -> int:
     x = parse_rat(args.x) if args.x is not None else None
-    table = _table_for(args.d, args)
+    table = load_or_build(args.d)
     report = scan(args.d, x, table=table)
     intervals = ()
     if args.low is not None or args.high is not None:
@@ -193,7 +186,7 @@ def _cmd_family(args) -> int:
 
 
 def _cmd_selftest(args) -> int:
-    return selftest.run_selftest(args.level, use_cache=args.cache == "on")
+    return selftest.run_selftest(args.level)
 
 
 _COMMANDS = {

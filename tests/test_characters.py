@@ -91,10 +91,11 @@ class TestMnCharacter:
 
 
 def reference_verify(table):
-    """Reference oracle: the row-then-column double-loop check.
+    """Orthogonality oracle: dimensions, then rows and columns by double loop.
 
-    This is the check ``verify_table`` ran before it became one packed
-    column pass; the tests require both to reject the same tables.
+    Orthogonality does not pin a table: it also accepts a negated
+    non-dimension column and a swap of conjugate rows, both of which
+    ``verify_table`` must reject.
     """
     d = table.degree
     order = table.order
@@ -140,6 +141,10 @@ def reference_verify(table):
     counts["column orthogonality"] = n * (n + 1) // 2
 
     return counts
+
+
+CHECK_NAMES = ("dimension column", "character bound", "frobenius formula")
+PRIME = 2 ** 127 - 1  # the certificate's modulus
 
 
 def accepts(check, table):
@@ -308,7 +313,7 @@ class TestVerifyTable:
     def test_passes_to_d8(self, tables):
         for d in range(1, 9):
             counts = verify_table(tables.get(d))
-            assert counts["row orthogonality"] > 0
+            assert counts["frobenius formula"] == len(lex_list(d))
 
     def test_perturbed_entry_caught(self, tables):
         t = tables.get(5)
@@ -317,7 +322,8 @@ class TestVerifyTable:
         bad = CharacterTable(5, tuple(tuple(r) for r in rows))
         with pytest.raises(TableVerificationError) as err:
             verify_table(bad)
-        assert "orthogonality" in str(err.value) or "dimension" in str(err.value)
+        assert err.value.check == "frobenius formula"
+        assert err.value.detail == f"alpha={t.order[3]}"
 
     def test_perturbed_dimension_names_shape(self, tables):
         t = tables.get(4)
@@ -347,16 +353,16 @@ class TestVerifyTable:
             try:
                 verify_table(bad)
             except TableVerificationError as err:
-                assert err.check in ("dimension column", "column orthogonality")
+                assert err.check in CHECK_NAMES
             else:
                 pytest.fail(f"accepted entry ({i}, {j}) changed by {delta}")
 
-    def test_random_perturbations_same_verdict(self, tables):
-        # Entry changes are mixed with moves that keep a valid table valid:
-        # negating a non-dimension column, or swapping the rows of a
+    def test_random_perturbations_rejected(self, tables):
+        # Entry changes mixed with moves that keep the columns orthogonal:
+        # negating non-dimension columns, or swapping the rows of a
         # conjugate pair (equal dimensions).
         rng = random.Random(20260101)
-        verdicts = []
+        orthogonal = 0
         for trial in range(300):
             t = tables.get(rng.randint(4, 7))
             n = len(t.order)
@@ -375,18 +381,46 @@ class TestVerifyTable:
                     rows[rng.randrange(n)][rng.randrange(n)] += \
                         rng.choice((1, -1)) << rng.randrange(71)
             bad = with_values(t, rows)
-            verdict = accepts(verify_table, bad)
-            assert verdict == accepts(reference_verify, bad), (trial, moves)
-            verdicts.append(verdict)
-        assert any(verdicts) and not all(verdicts)
+            assert not accepts(verify_table, bad), (trial, moves)
+            orthogonal += accepts(reference_verify, bad)
+        assert orthogonal > 0  # the gap the certificate closes
 
-    @pytest.mark.parametrize("d", range(1, 11))
-    def test_counts_match_reference(self, d, tables):
-        assert verify_table(tables.get(d)) == reference_verify(tables.get(d))
+    def test_conjugate_row_swap_rejected(self, tables):
+        # At d = 8 the swap turns a monotone scan into one with 5 violations.
+        t = tables.get(8)
+        rows = list(t.values)
+        a, b = t.position(Partition.parse("1^6,2")), t.position(Partition.parse("1,7"))
+        rows[a], rows[b] = rows[b], rows[a]
+        bad = with_values(t, rows)
+        assert accepts(reference_verify, bad)
+        with pytest.raises(TableVerificationError, match="frobenius formula"):
+            verify_table(bad)
+
+    def test_negated_column_rejected(self, tables):
+        t = tables.get(8)
+        j = t.position(Partition.parse("1^4,2^2"))
+        bad = with_values(t, [row[:j] + (-row[j],) + row[j + 1:] for row in t.values])
+        assert accepts(reference_verify, bad)
+        with pytest.raises(TableVerificationError, match="frobenius formula"):
+            verify_table(bad)
+
+    def test_entry_raised_by_prime_rejected(self, tables):
+        # Mod P the change is invisible to the Frobenius sum; the bound sees it.
+        t = tables.get(6)
+        rows = [list(r) for r in t.values]
+        rows[3][4] += PRIME
+        with pytest.raises(TableVerificationError) as err:
+            verify_table(with_values(t, rows))
+        assert err.value.check == "character bound"
 
     def test_passes_at_d18(self, tables):
         counts = verify_table(tables.get(18))
-        assert counts["column orthogonality"] == 385 * 386 // 2
+        assert counts["frobenius formula"] == 385
+
+    def test_passes_at_d20(self, tables):
+        counts = verify_table(tables.get(20))
+        assert counts == {"dimension column": 627, "character bound": 627 * 627,
+                          "frobenius formula": 627}
 
 
 class TestCache:
@@ -472,7 +506,8 @@ class TestCache:
         with pytest.warns(UserWarning, match="header 'WGCT1'"):
             assert cli.main(["scan", "--d", "13"]) == 0
         cached = capsys.readouterr().out
-        assert cli.main(["scan", "--d", "13", "--cache", "off"]) == 0
+        monkeypatch.setenv("WG_CACHE_DIR", "")
+        assert cli.main(["scan", "--d", "13"]) == 0
         assert cached == capsys.readouterr().out
         assert "violations 1\n  1^6,7\n" in cached
 

@@ -19,6 +19,20 @@ def run_cli(capsys, *argv):
     return code, captured.out, captured.err
 
 
+def run_module(*argv):
+    """One ``python -m wgmono.cli`` run with the cache disabled."""
+    src = str(Path(cli.__file__).resolve().parents[1])
+    return subprocess.run([sys.executable, "-m", "wgmono.cli", *argv],
+                          env=dict(os.environ, PYTHONPATH=src, WG_CACHE_DIR=""),
+                          capture_output=True, text=True)
+
+
+def assert_one_error_line(run):
+    assert run.returncode == 1
+    assert run.stdout == ""
+    assert len(run.stderr.splitlines()) == 1 and run.stderr.startswith("error: ")
+
+
 def bad_d8_cache_env(tmp_path, lam, alpha):
     """Environment whose cache holds a d = 8 table with chi(lam, alpha) + 1.
 
@@ -68,6 +82,11 @@ class TestEval:
         assert code == 1
         assert "rational" in err
 
+    def test_unprintable_csv_value_prints_nothing(self):
+        # the value has more digits than Python converts to str
+        assert_one_error_line(run_module(
+            "eval", "--alpha", "1,2", "--x", "1/" + "9" * 4000, "--format", "csv"))
+
 
 class TestCoeff:
     def test_three_cycle(self, capsys):
@@ -80,6 +99,11 @@ class TestCoeff:
                                "--format", "json")
         assert code == 0
         assert json.loads(out) == {"alpha": "1^2", "r": 2, "count": "1"}
+
+    def test_unprintable_csv_count_prints_nothing(self):
+        # the count has more digits than Python converts to str
+        assert_one_error_line(run_module(
+            "coeff", "--alpha", "1,2", "--r", "20001", "--format", "csv"))
 
     @pytest.mark.parametrize("flags", [[], ["-O"]], ids=["python", "python -O"])
     def test_wrong_table_is_one_error_line(self, tmp_path, flags):
@@ -180,6 +204,10 @@ class TestFamily:
         assert len(err.splitlines()) == 1 and err.startswith("error: ")
 
 
+TABLE_VERBS = (["eval", "--alpha", "2"], ["coeff", "--alpha", "2", "--r", "1"],
+               ["scan", "--d", "3"], ["selftest"])
+
+
 class TestUsageErrors:
     def test_unknown_verb_exits_2(self, capsys):
         with pytest.raises(SystemExit) as err:
@@ -197,10 +225,16 @@ class TestUsageErrors:
         assert err.value.code == 2
 
     def test_jobs_flag_rejected(self, capsys):
-        for argv in (["eval", "--alpha", "2"], ["coeff", "--alpha", "2", "--r", "1"],
-                     ["scan", "--d", "3"], ["selftest"]):
+        for argv in TABLE_VERBS:
             with pytest.raises(SystemExit) as err:
                 cli.main([*argv, "--jobs", "2"])
+            assert err.value.code == 2
+
+    def test_cache_flag_rejected(self, capsys):
+        # an empty WG_CACHE_DIR is the one way to switch the cache off
+        for argv in TABLE_VERBS:
+            with pytest.raises(SystemExit) as err:
+                cli.main([*argv, "--cache", "off"])
             assert err.value.code == 2
 
 
@@ -215,8 +249,9 @@ class TestCache:
         assert first == second
 
     def test_cache_off_writes_nothing(self, capsys, tmp_path, monkeypatch):
-        monkeypatch.setenv("WG_CACHE_DIR", str(tmp_path))
-        code, _, _ = run_cli(capsys, "scan", "--d", "6", "--cache", "off")
+        monkeypatch.chdir(tmp_path)
+        monkeypatch.setenv("WG_CACHE_DIR", "")
+        code, _, _ = run_cli(capsys, "scan", "--d", "6")
         assert code == 0
         assert list(tmp_path.iterdir()) == []
 
@@ -226,13 +261,10 @@ class TestCache:
         blocker.write_text("")
         src = str(Path(cli.__file__).resolve().parents[1])
         env = dict(os.environ, PYTHONPATH=src, WG_CACHE_DIR=str(blocker))
-
-        def run(*extra):
-            return subprocess.run(
-                [sys.executable, "-m", "wgmono.cli", "eval", "--alpha", "1,2", *extra],
-                env=env, capture_output=True, text=True)
-
-        broken, reference = run(), run("--cache", "off")
+        broken = subprocess.run(
+            [sys.executable, "-m", "wgmono.cli", "eval", "--alpha", "1,2"],
+            env=env, capture_output=True, text=True)
+        reference = run_module("eval", "--alpha", "1,2")
         assert broken.returncode == 0
         assert broken.stdout == reference.stdout == "27/40\n"
         [line] = broken.stderr.splitlines()
@@ -284,10 +316,10 @@ class TestSelftest:
         assert extended[:len(standard)] == standard
         assert extended == selftest.CHECKS
 
-    def test_standard_output_pinned(self):
+    def test_standard_output_pinned(self, monkeypatch):
+        monkeypatch.setenv("WG_CACHE_DIR", "")
         lines = []
-        assert selftest.run_selftest("standard", use_cache=False,
-                                     emit=lines.append) == 0
+        assert selftest.run_selftest("standard", emit=lines.append) == 0
         assert lines == [f"ok {name}" for name in STANDARD_NAMES] + [
             "selftest standard: 18 checks passed"]
 
