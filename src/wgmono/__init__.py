@@ -30,8 +30,8 @@ from .characters import (
     build_table,
     cache_load,
     cache_store,
+    character_column,
     load_or_build,
-    mn_character,
     verify_table,
 )
 from .genfun import (
@@ -63,7 +63,7 @@ __all__ = [
     "CellStats", "Partition", "cell_stats", "class_size", "compare_lex",
     "conjugate", "dimension", "lex_list", "lex_successor",
     "CharacterTable", "build_table", "cache_load", "cache_store",
-    "load_or_build", "mn_character", "verify_table",
+    "character_column", "load_or_build", "verify_table",
     "complete_homogeneous", "counterexample_family", "eval_M", "leading_ratio",
     "m0_catalan", "normalized_value", "series_coeff", "vanishing_order",
     "WalkCounts", "class_function_check", "enumerate_counts", "oracle_compare",

@@ -23,7 +23,7 @@ from operator import mul
 from pathlib import Path
 
 from . import _mnkernel_py
-from .errors import CapExceededError, DegreeMismatchError, TableVerificationError
+from .errors import CapExceededError, TableVerificationError
 from .exact import factorial
 from .partitions import as_partition, cell_stats, conjugate, lex_list
 from ._mnkernel_py import shape_mask
@@ -83,29 +83,26 @@ class CharacterTable:
         return f"<CharacterTable d={self.degree}, {len(self.order)} classes>"
 
 
-def mn_character(lam, alpha) -> int:
-    """Single character value, degree at most ``MAX_DEGREE``.
+def character_column(alpha) -> tuple[int, ...]:
+    """chi(lam, alpha) for every shape lam in ``lex_list(d)``, d at most ``MAX_DEGREE``.
 
     The column DP runs over every shape of each smaller degree, so one
-    value costs about what one column of the table costs.
+    column costs about what one class of ``build_table`` costs.
 
-    >>> mn_character((1, 2), (3,))
-    -1
+    >>> character_column((3,))  # shapes 1^3, 1,2 and 3
+    (1, -1, 1)
     """
-    l, a = as_partition(lam), as_partition(alpha)
-    if l.degree != a.degree:
-        raise DegreeMismatchError(
-            f"shape has degree {l.degree}, class has degree {a.degree}")
-    _check_cap(l.degree)
-    return _mnkernel_py.compute_columns([shape_mask(tuple(l))], [tuple(a)])[0][0]
+    _check_cap(sum(alpha))
+    a = as_partition(alpha)
+    masks = [shape_mask(tuple(p)) for p in lex_list(a.degree)]
+    return tuple(_mnkernel_py.compute_columns(masks, [tuple(a)])[0])
 
 
 def _check_cap(d: int) -> None:
     if d < 1:
         raise CapExceededError(f"degree must be >= 1, got {d}")
     if d > MAX_DEGREE:
-        raise CapExceededError(
-            f"degree {d} beyond configured maximum {MAX_DEGREE}")
+        raise CapExceededError.for_degree(d, MAX_DEGREE)
 
 
 def build_table(d: int, *, jobs: int = 1) -> CharacterTable:

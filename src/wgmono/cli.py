@@ -7,9 +7,9 @@ table that fails an exact identity, 2 on usage errors.
 
 Partitions are written "1,1,2" or "1^2,2" on input and always rendered
 in exponent form; rationals are "N/D" or "N" on input and always "N/D"
-reduced on output.  WG_CACHE_DIR selects a directory for persistent
-character tables; unset or empty, nothing is cached.  Library warnings,
-such as a rejected cache file, print as one ``warning:`` line each.
+reduced on output.  Nothing is read from or written to disk: eval and
+coeff compute the one character column they need, scan and selftest
+build their tables.
 """
 
 from __future__ import annotations
@@ -19,10 +19,9 @@ import csv
 import io
 import json
 import sys
-import warnings
 
 from . import selftest
-from .characters import load_or_build
+from .characters import MAX_DEGREE, build_table
 from .errors import DomainError, TableVerificationError
 from .exact import format_rat, parse_rat, rat
 from .genfun import (counterexample_family, eval_M, leading_ratio, normalizer,
@@ -78,11 +77,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _cmd_eval(args) -> int:
-    alpha = Partition.parse(args.alpha)
+    alpha = Partition.parse(args.alpha, MAX_DEGREE)
     d = alpha.degree
     x = parse_rat(args.x) if args.x is not None else rat(1, d)
-    table = load_or_build(d)
-    value = eval_M(alpha, x, table)
+    value = eval_M(alpha, x)
     normalized = value * normalizer(d)
     shown = normalized if args.normalized else value
     # the whole text first: formatting a huge value can fail
@@ -99,9 +97,8 @@ def _cmd_eval(args) -> int:
 
 
 def _cmd_coeff(args) -> int:
-    alpha = Partition.parse(args.alpha)
-    table = load_or_build(alpha.degree)
-    count = series_coeff(alpha, args.r, table)
+    alpha = Partition.parse(args.alpha, MAX_DEGREE)
+    count = series_coeff(alpha, args.r)
     # the whole text first: formatting a huge count can fail
     if args.format == "json":
         text = json.dumps({"alpha": str(alpha), "r": args.r, "count": str(count)},
@@ -116,8 +113,7 @@ def _cmd_coeff(args) -> int:
 
 def _cmd_scan(args) -> int:
     x = parse_rat(args.x) if args.x is not None else None
-    table = load_or_build(args.d)
-    report = scan(args.d, x, table=table)
+    report = scan(args.d, x, table=build_table(args.d))
     intervals = ()
     if args.low is not None or args.high is not None:
         if args.low is None or args.high is None:
@@ -199,21 +195,13 @@ _COMMANDS = {
 }
 
 
-def _warning_line(message, category, filename, lineno, line=None) -> str:
-    return f"warning: {message}\n"
-
-
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
-    formatwarning = warnings.formatwarning
-    warnings.formatwarning = _warning_line
     try:
         return _COMMANDS[args.verb](args)
     except (DomainError, TableVerificationError, ZeroDivisionError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    finally:
-        warnings.formatwarning = formatwarning
 
 
 if __name__ == "__main__":

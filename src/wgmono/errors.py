@@ -29,6 +29,10 @@ class PoleError(DomainError):
 class CapExceededError(DomainError):
     """Requested size is beyond the supported envelope."""
 
+    @classmethod
+    def for_degree(cls, degree, cap) -> "CapExceededError":
+        return cls(f"degree {degree} beyond configured maximum {cap}")
+
 
 class TableVerificationError(AssertionError):
     """An exact character-table identity failed; names the offending pair."""

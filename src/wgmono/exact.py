@@ -44,14 +44,8 @@ def int_pow(b: int, e: int) -> int:
     return b ** e
 
 
-def binomial(n: int, k: int) -> int:
-    if n < 0 or k < 0:
-        raise ValueError(f"binomial({n}, {k})")
-    return math.comb(n, k)
-
-
 def catalan(n: int) -> int:
-    """n-th Catalan number, binomial(2n, n) / (n + 1)."""
+    """n-th Catalan number, (2n choose n) / (n + 1)."""
     if n < 0:
         raise ValueError(f"catalan of negative {n}")
     return math.comb(2 * n, n) // (n + 1)

@@ -32,16 +32,20 @@ import math
 from fractions import Fraction
 from operator import mul
 
-from .characters import CharacterTable
+from .characters import CharacterTable, character_column
 from .errors import DegreeMismatchError, PoleError, TableVerificationError
 from .exact import catalan, factorial, int_pow, rat
-from .partitions import Partition, as_partition, cell_stats
+from .partitions import Partition, as_partition, cell_stats, lex_list
 
 
-def _check_degree(alpha: Partition, table: CharacterTable) -> None:
-    if alpha.degree != table.degree:
+def _column(a: Partition, table: CharacterTable | None):
+    """The class's character column and its shapes, from the table or computed."""
+    if table is None:
+        return character_column(a), lex_list(a.degree)
+    if a.degree != table.degree:
         raise DegreeMismatchError(
-            f"partition of {alpha.degree} against table of degree {table.degree}")
+            f"partition of {a.degree} against table of degree {table.degree}")
+    return table.column(a), table.order
 
 
 def normalizer(d: int) -> Fraction:
@@ -49,17 +53,12 @@ def normalizer(d: int) -> Fraction:
     return rat(int_pow(factorial(d), 2), int_pow(d, d))
 
 
-def table_weights(table: CharacterTable, x: Fraction) -> tuple[Fraction, list[int]]:
-    """Scale q^d / L and integer weights L / D_lambda, in table order.
-
-    The weight of shape lambda times the scale is 1 / prod(h * (1 - c*x)).
-    The scale is positive, so comparing weighted integer sums compares
-    the values they stand for.
-    """
+def _weights(shapes, x) -> tuple[Fraction, list[int]]:
+    """Scale q^d / L and integer weights L / D_lambda over the shapes of degree d."""
     x = Fraction(x)
     p, q = x.numerator, x.denominator
     denoms = []
-    for lam in table.order:
+    for lam in shapes:
         stats = cell_stats(lam)
         denom = stats.hook_product
         for c in stats.contents:
@@ -69,20 +68,30 @@ def table_weights(table: CharacterTable, x: Fraction) -> tuple[Fraction, list[in
             denom *= factor
         denoms.append(denom)
     lcm = math.lcm(*denoms)
-    return Fraction(int_pow(q, table.degree), lcm), [lcm // denom for denom in denoms]
+    return Fraction(int_pow(q, shapes[0].degree), lcm), [lcm // denom for denom in denoms]
 
 
-def eval_M(alpha, x, table: CharacterTable) -> Fraction:
+def table_weights(table: CharacterTable, x: Fraction) -> tuple[Fraction, list[int]]:
+    """Scale q^d / L and integer weights L / D_lambda, in table order.
+
+    The weight of shape lambda times the scale is 1 / prod(h * (1 - c*x)).
+    The scale is positive, so comparing weighted integer sums compares
+    the values they stand for.
+    """
+    return _weights(table.order, x)
+
+
+def eval_M(alpha, x, table: CharacterTable | None = None) -> Fraction:
     """Exact value of the walk generating function at rational x.
 
-    >>> from wgmono.characters import build_table
-    >>> eval_M((2,), Fraction(1, 2), build_table(2))
+    Without a table the one character column is computed.
+
+    >>> eval_M((2,), Fraction(1, 2))
     Fraction(2, 3)
     """
-    a = as_partition(alpha)
-    _check_degree(a, table)
-    scale, weights = table_weights(table, x)
-    return scale * sum(map(mul, table.column(a), weights))
+    column, shapes = _column(as_partition(alpha), table)
+    scale, weights = _weights(shapes, x)
+    return scale * sum(map(mul, column, weights))
 
 
 def normalized_value(alpha, table: CharacterTable) -> Fraction:
@@ -107,7 +116,7 @@ def complete_homogeneous(values, r: int) -> int:
     return acc[r]
 
 
-def series_coeff(alpha, r: int, table: CharacterTable) -> int:
+def series_coeff(alpha, r: int, table: CharacterTable | None = None) -> int:
     """Number of r-step monotone walks reaching cycle type alpha.
 
     Extracted from the character sum by expanding each shape's
@@ -115,14 +124,15 @@ def series_coeff(alpha, r: int, table: CharacterTable) -> int:
     with d!/H_lambda = f^lambda the sum is an integer over d!.  A sum that
     is not a non-negative multiple of d! can only come from a wrong table,
     and raises ``TableVerificationError`` (also under ``python -O``).
+    Without a table the one character column is computed.
     """
-    a = as_partition(alpha)
-    _check_degree(a, table)
     if r < 0:
         raise ValueError(f"negative length {r}")
+    a = as_partition(alpha)
+    column, shapes = _column(a, table)
     fact = factorial(a.degree)
     total = 0
-    for chi, lam in zip(table.column(a), table.order):
+    for chi, lam in zip(column, shapes):
         if not chi:
             continue
         stats = cell_stats(lam)

@@ -16,7 +16,7 @@ import re
 from dataclasses import dataclass
 from functools import lru_cache, reduce
 
-from .errors import DegreeMismatchError, PartitionError
+from .errors import CapExceededError, DegreeMismatchError, PartitionError
 from .exact import factorial
 
 _PART_RE = re.compile(r"^(\d+)(?:\^(\d+))?$")
@@ -59,13 +59,15 @@ class Partition(tuple):
         return tuple(reversed(self))
 
     @classmethod
-    def parse(cls, text: str) -> "Partition":
+    def parse(cls, text: str, max_degree: int | None = None) -> "Partition":
         """Parse "1,1,2" or the exponent shorthand "1^2,2".
+
+        With ``max_degree`` the degree is checked before ``p^mult`` is expanded.
 
         >>> Partition.parse("1^6,7")
         Partition('1^6,7')
         """
-        parts: list[int] = []
+        pairs: list[tuple[int, int]] = []
         for chunk in text.split(","):
             m = _PART_RE.match(chunk.strip())
             if m is None:
@@ -74,8 +76,11 @@ class Partition(tuple):
             mult = int(m.group(2)) if m.group(2) is not None else 1
             if mult < 1:
                 raise PartitionError(f"exponent must be >= 1 in {text!r}")
-            parts.extend([p] * mult)
-        return cls(parts)
+            pairs.append((p, mult))
+        degree = sum(p * mult for p, mult in pairs)
+        if max_degree is not None and degree > max_degree:
+            raise CapExceededError.for_degree(degree, max_degree)
+        return cls(p for p, mult in pairs for _ in range(mult))
 
     def __str__(self) -> str:
         groups = []

@@ -16,7 +16,7 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import lru_cache, partial
 
-from .characters import load_or_build, verify_table
+from .characters import build_table, verify_table
 from .exact import factorial, rat
 from .genfun import (
     counterexample_family,
@@ -265,7 +265,7 @@ def checks(level: str) -> list:
 def run_selftest(level: str = "quick", *, emit=print) -> int:
     """Run checks up to the given level; 0 on success, 1 at first failure."""
     selected = checks(level)
-    table = lru_cache(maxsize=None)(load_or_build)
+    table = lru_cache(maxsize=None)(build_table)
     for _, name, check in selected:
         try:
             check(table)

@@ -5,20 +5,20 @@ import warnings
 
 import pytest
 
-from wgmono import cli
 from wgmono.characters import (
     CharacterTable,
     build_table,
     cache_load,
     cache_store,
+    character_column,
     default_cache_path,
     load_or_build,
-    mn_character,
     verify_table,
 )
-from wgmono.errors import CapExceededError, DegreeMismatchError, TableVerificationError
+from wgmono.errors import CapExceededError, TableVerificationError
 from wgmono.exact import factorial
 from wgmono.partitions import Partition, cell_stats, class_size, conjugate, lex_list
+from wgmono.scanner import scan
 from wgmono import _mnkernel_py
 
 
@@ -62,24 +62,38 @@ def frobenius_character(lam, alpha):
 
 
 class TestMnCharacter:
+    """``character_column``: one Murnaghan-Nakayama column, shapes in lex order."""
+
     def test_trivial_representation(self):
         for d in range(1, 7):
             for alpha in lex_list(d):
-                assert mn_character(Partition((d,)), alpha) == 1
+                assert character_column(alpha)[-1] == 1  # the shape (d) is last
 
     def test_sign_on_transposition(self):
-        assert mn_character((1, 1, 1), (1, 2)) == -1
+        assert character_column((1, 2))[0] == -1  # the shape 1^3 is first
 
     def test_hook_on_three_cycle(self):
-        assert mn_character((1, 2), (3,)) == -1
-
-    def test_degree_mismatch(self):
-        with pytest.raises(DegreeMismatchError):
-            mn_character((1, 2), (4,))
+        assert character_column((3,)) == (1, -1, 1)
 
     def test_beyond_maximum(self):
-        with pytest.raises(CapExceededError, match="beyond configured maximum 20"):
-            mn_character((21,), (1, 20))
+        with pytest.raises(CapExceededError, match="^degree 21 beyond configured maximum 20$"):
+            character_column((1, 20))
+
+    def test_degree_zero_rejected(self):
+        with pytest.raises(CapExceededError, match="degree must be >= 1, got 0"):
+            character_column(())
+
+    @pytest.mark.parametrize("d", range(1, 11))
+    def test_matches_table_every_class(self, d, tables):
+        t = tables.get(d)
+        for alpha in t.order:
+            assert character_column(alpha) == t.column(alpha), alpha
+
+    @pytest.mark.parametrize("d", range(11, 21))
+    def test_matches_table_seeded_classes(self, d, tables):
+        t = tables.get(d)
+        for alpha in random.Random(d).sample(t.order, 3):
+            assert character_column(alpha) == t.column(alpha), alpha
 
     @pytest.mark.parametrize("d", range(1, 6))
     def test_against_frobenius_oracle(self, d, tables):
@@ -305,7 +319,7 @@ class TestKernelReference:
         pairs += [tuple(rng.sample(lex_list(d), 2)) for d in range(13, 21)]
         for lam, alpha in pairs:
             masks, alphas = kernel_inputs([lam], [alpha])
-            assert mn_character(lam, alpha) == \
+            assert character_column(alpha)[lex_list(lam.degree).index(lam)] == \
                 reference_columns(masks, alphas)[0][0], (lam, alpha)
 
 
@@ -494,22 +508,27 @@ class TestCache:
         t = CharacterTable(6, tables.get(6).values)
         assert t.order == tuple(lex_list(6)) and t == tables.get(6)
 
-    def test_wgct1_reversed_order_does_not_change_scan(
-            self, tmp_path, monkeypatch, capsys, tables):
+    def test_wgct1_reversed_order_does_not_change_scan(self, tmp_path, tables):
         # A valid d = 13 table listed in reversed class order under a valid
         # checksum.  Trusting its order lines gives 99 violations, not 1^6,7.
         t = tables.get(13)
         reversed_rows = [row[::-1] for row in t.values[::-1]]
         write_checksummed(tmp_path / "chartable_d13.wgct",
                           wgct1_body(13, t.order[::-1], reversed_rows))
-        monkeypatch.setenv("WG_CACHE_DIR", str(tmp_path))
         with pytest.warns(UserWarning, match="header 'WGCT1'"):
-            assert cli.main(["scan", "--d", "13"]) == 0
-        cached = capsys.readouterr().out
-        monkeypatch.setenv("WG_CACHE_DIR", "")
-        assert cli.main(["scan", "--d", "13"]) == 0
-        assert cached == capsys.readouterr().out
-        assert "violations 1\n  1^6,7\n" in cached
+            cached = scan(13, table=load_or_build(13, cache_dir=tmp_path))
+        assert cached == scan(13, table=t)
+        assert [str(p) for p in cached.violations] == ["1^6,7"]
+
+    def test_failed_cache_write_warns_and_continues(self, tmp_path, tables):
+        # cache_dir names a regular file, so no table can be stored
+        blocker = tmp_path / "not-a-dir"
+        blocker.write_text("")
+        with pytest.warns(UserWarning) as record:
+            assert load_or_build(3, cache_dir=blocker) == tables.get(3)
+        [warning] = record
+        assert str(warning.message).startswith(
+            f"not caching character table at {blocker / 'chartable_d3.wgct'}")
 
     def test_wgct1_file_rewritten_once(self, tmp_path, tables):
         path = default_cache_path(6, tmp_path)

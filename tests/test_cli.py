@@ -4,13 +4,16 @@ import json
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import pytest
 
 from wgmono import cli, selftest
-from wgmono.characters import CharacterTable, build_table, cache_store
+from wgmono.characters import (CharacterTable, build_table, cache_load, cache_store,
+                               default_cache_path)
 from wgmono.partitions import Partition
+from wgmono.scanner import scan
 
 
 def run_cli(capsys, *argv):
@@ -20,10 +23,10 @@ def run_cli(capsys, *argv):
 
 
 def run_module(*argv):
-    """One ``python -m wgmono.cli`` run with the cache disabled."""
+    """One ``python -m wgmono.cli`` run in a child process."""
     src = str(Path(cli.__file__).resolve().parents[1])
     return subprocess.run([sys.executable, "-m", "wgmono.cli", *argv],
-                          env=dict(os.environ, PYTHONPATH=src, WG_CACHE_DIR=""),
+                          env=dict(os.environ, PYTHONPATH=src),
                           capture_output=True, text=True)
 
 
@@ -31,20 +34,6 @@ def assert_one_error_line(run):
     assert run.returncode == 1
     assert run.stdout == ""
     assert len(run.stderr.splitlines()) == 1 and run.stderr.startswith("error: ")
-
-
-def bad_d8_cache_env(tmp_path, lam, alpha):
-    """Environment whose cache holds a d = 8 table with chi(lam, alpha) + 1.
-
-    The file carries a valid checksum, so only the arithmetic can notice.
-    """
-    good = build_table(8)
-    values = [list(row) for row in good.values]
-    values[good.position(lam)][good.position(alpha)] += 1
-    cache_store(CharacterTable(8, tuple(map(tuple, values))),
-                tmp_path / "chartable_d8.wgct")
-    src = str(Path(cli.__file__).resolve().parents[1])
-    return dict(os.environ, PYTHONPATH=src, WG_CACHE_DIR=str(tmp_path))
 
 
 class TestEval:
@@ -104,21 +93,6 @@ class TestCoeff:
         # the count has more digits than Python converts to str
         assert_one_error_line(run_module(
             "coeff", "--alpha", "1,2", "--r", "20001", "--format", "csv"))
-
-    @pytest.mark.parametrize("flags", [[], ["-O"]], ids=["python", "python -O"])
-    def test_wrong_table_is_one_error_line(self, tmp_path, flags):
-        # The true count is 58; a wrong table must not print a number,
-        # also when asserts are stripped.
-        env = bad_d8_cache_env(tmp_path, Partition.parse("1^5,3"),
-                               Partition.parse("1^4,2^2"))
-        run = subprocess.run(
-            [sys.executable, *flags, "-m", "wgmono.cli", "coeff",
-             "--alpha", "1^4,2^2", "--r", "4"], env=env, capture_output=True, text=True)
-        assert run.returncode == 1
-        assert run.stdout == ""
-        assert run.stderr.splitlines() == [
-            "error: walk count failed: alpha=1^4,2^2, r=4: "
-            "38649/640 is not a non-negative integer"]
 
 
 class TestScan:
@@ -231,58 +205,53 @@ class TestUsageErrors:
             assert err.value.code == 2
 
     def test_cache_flag_rejected(self, capsys):
-        # an empty WG_CACHE_DIR is the one way to switch the cache off
+        # the command line keeps no cache to switch
         for argv in TABLE_VERBS:
             with pytest.raises(SystemExit) as err:
                 cli.main([*argv, "--cache", "off"])
             assert err.value.code == 2
 
 
-class TestCache:
-    def test_cache_file_created_and_reused(self, capsys, tmp_path, monkeypatch):
-        monkeypatch.setenv("WG_CACHE_DIR", str(tmp_path))
-        code, first, _ = run_cli(capsys, "scan", "--d", "6", "--format", "json")
-        assert code == 0
-        assert (tmp_path / "chartable_d6.wgct").exists()
-        code, second, _ = run_cli(capsys, "scan", "--d", "6", "--format", "json")
-        assert code == 0
-        assert first == second
+# Requests on the classes whose rows the poisoned table swaps.
+POISON_REQUESTS = (["scan", "--d", "8"], ["eval", "--alpha", "1^6,2"],
+                   ["eval", "--alpha", "1,7", "--format", "json"],
+                   ["coeff", "--alpha", "1^6,2", "--r", "5"],
+                   ["coeff", "--alpha", "1,7", "--r", "8", "--format", "csv"])
 
+
+class TestCache:
     def test_cache_off_writes_nothing(self, capsys, tmp_path, monkeypatch):
         monkeypatch.chdir(tmp_path)
-        monkeypatch.setenv("WG_CACHE_DIR", "")
-        code, _, _ = run_cli(capsys, "scan", "--d", "6")
-        assert code == 0
+        monkeypatch.setenv("WG_CACHE_DIR", str(tmp_path))
+        for argv in POISON_REQUESTS:
+            code, _, _ = run_cli(capsys, *argv)
+            assert code == 0
         assert list(tmp_path.iterdir()) == []
 
-    def test_failed_cache_write_warns_and_continues(self, tmp_path):
-        # WG_CACHE_DIR names a regular file, so no table can be stored
-        blocker = tmp_path / "not-a-dir"
-        blocker.write_text("")
-        src = str(Path(cli.__file__).resolve().parents[1])
-        env = dict(os.environ, PYTHONPATH=src, WG_CACHE_DIR=str(blocker))
-        broken = subprocess.run(
-            [sys.executable, "-m", "wgmono.cli", "eval", "--alpha", "1,2"],
-            env=env, capture_output=True, text=True)
-        reference = run_module("eval", "--alpha", "1,2")
-        assert broken.returncode == 0
-        assert broken.stdout == reference.stdout == "27/40\n"
-        [line] = broken.stderr.splitlines()
-        assert line.startswith(f"warning: not caching character table at {blocker}")
+    def test_poisoned_cache_never_reaches_cli(self, capsys, tmp_path, monkeypatch):
+        # Rows 1^6,2 and 1,7 swapped under a valid checksum: trusted, the
+        # file scans 5 violations at d = 8 instead of 0.
+        good = build_table(8)
+        rows = list(good.values)
+        i, j = good.position(Partition.parse("1^6,2")), good.position(Partition.parse("1,7"))
+        rows[i], rows[j] = rows[j], rows[i]
+        path = default_cache_path(8, tmp_path)
+        cache_store(CharacterTable(8, tuple(rows)), path)
+        assert len(scan(8, table=cache_load(8, path)).violations) == 5
+        before = {p: p.read_bytes() for p in tmp_path.iterdir()}
 
-    def test_rejected_cache_file_is_one_warning_line(self, tmp_path):
-        path = tmp_path / "chartable_d3.wgct"
-        cache_store(build_table(3), path)
-        path.write_bytes(path.read_bytes().replace(b"WGCT2 3", b"WGCT2 4"))
-        src = str(Path(cli.__file__).resolve().parents[1])
-        run = subprocess.run(
-            [sys.executable, "-m", "wgmono.cli", "eval", "--alpha", "1,2"],
-            env=dict(os.environ, PYTHONPATH=src, WG_CACHE_DIR=str(tmp_path)),
-            capture_output=True, text=True)
-        assert run.returncode == 0
-        assert run.stdout == "27/40\n"
-        assert run.stderr.splitlines() == [
-            f"warning: ignoring character cache {path}: checksum mismatch"]
+        def replies():
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                return [run_cli(capsys, *argv) for argv in POISON_REQUESTS]
+
+        monkeypatch.delenv("WG_CACHE_DIR", raising=False)
+        reference = replies()
+        monkeypatch.setenv("WG_CACHE_DIR", str(tmp_path))
+        assert replies() == reference
+        assert all(code == 0 and err == "" for code, _, err in reference)
+        assert "violations 0\n" in reference[0][1]
+        assert {p: p.read_bytes() for p in tmp_path.iterdir()} == before
 
 
 class TestStartup:
@@ -316,22 +285,24 @@ class TestSelftest:
         assert extended[:len(standard)] == standard
         assert extended == selftest.CHECKS
 
-    def test_standard_output_pinned(self, monkeypatch):
-        monkeypatch.setenv("WG_CACHE_DIR", "")
+    def test_standard_output_pinned(self):
         lines = []
         assert selftest.run_selftest("standard", emit=lines.append) == 0
         assert lines == [f"ok {name}" for name in STANDARD_NAMES] + [
             "selftest standard: 18 checks passed"]
 
-    def test_failed_identity_prints_fail_line(self, tmp_path):
-        env = bad_d8_cache_env(tmp_path, Partition.parse("1^4,2^2"),
-                               Partition.parse("1^3,2,3"))
-        run = subprocess.run(
-            [sys.executable, "-m", "wgmono.cli", "selftest", "--level", "standard"],
-            env=env, capture_output=True, text=True)
-        assert run.returncode == 1
-        assert run.stdout.splitlines()[-1].startswith("FAIL ")
-        assert "Traceback" not in run.stderr
+    def test_failed_identity_prints_fail_line(self, monkeypatch):
+        # chi(1^4,2^2; 1^3,2,3) + 1 at d = 8, past the tables the quick
+        # level verifies
+        good = build_table(8)
+        values = [list(row) for row in good.values]
+        values[good.position((1, 1, 1, 1, 2, 2))][good.position((1, 1, 1, 2, 3))] += 1
+        bad = CharacterTable(8, tuple(map(tuple, values)))
+        monkeypatch.setattr(selftest, "build_table",
+                            lambda d: bad if d == 8 else build_table(d))
+        lines = []
+        assert selftest.run_selftest("standard", emit=lines.append) == 1
+        assert lines[-1].startswith("FAIL bottom coefficient catalan d<=8: ")
 
 
 STANDARD_NAMES = [

@@ -4,7 +4,6 @@ import pytest
 from hypothesis import given, strategies as st
 
 from wgmono.exact import (
-    binomial,
     catalan,
     factorial,
     format_rat,
@@ -121,10 +120,6 @@ class TestCatalan:
         # Cat_{n+1} (n+2) = Cat_n 2 (2n+1), exactly
         for n in range(0, 65):
             assert catalan(n + 1) * (n + 2) == catalan(n) * 2 * (2 * n + 1)
-
-    @given(st.integers(0, 30), st.integers(0, 30))
-    def test_binomial_matches_oracle(self, n, k):
-        assert binomial(n + k, k) == slow_binomial(n + k, k)
 
 
 class TestSerialization:

@@ -1,10 +1,15 @@
 import itertools
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
 from wgmono.characters import CharacterTable
-from wgmono.errors import DegreeMismatchError, PoleError, TableVerificationError
+from wgmono.errors import (CapExceededError, DegreeMismatchError, PoleError,
+                           TableVerificationError)
 from wgmono.exact import catalan, factorial, rat
 from wgmono.genfun import (
     complete_homogeneous,
@@ -132,6 +137,21 @@ class TestIntegerPath:
                 assert mv.value == expect
                 assert eval_M(mv.alpha, x, t) == expect
 
+    @pytest.mark.parametrize("d", range(1, 11))
+    def test_table_free_matches_table(self, d, tables):
+        t = tables.get(d)
+        for alpha in t.order:
+            for x in self.points(d)[:4]:
+                assert eval_M(alpha, x) == eval_M(alpha, x, t)
+            for r in range(2 * d + 1):
+                assert series_coeff(alpha, r) == series_coeff(alpha, r, t)
+
+    def test_table_free_degree_cap(self):
+        with pytest.raises(CapExceededError, match="^degree 21 beyond configured maximum 20$"):
+            eval_M((21,), rat(1, 21))
+        with pytest.raises(CapExceededError, match="^degree 21 beyond configured maximum 20$"):
+            series_coeff((1, 20), 3)
+
     @pytest.mark.parametrize("d", range(2, 11))
     def test_poles_match_reference(self, d, tables):
         t = tables.get(d)
@@ -140,7 +160,8 @@ class TestIntegerPath:
             x = rat(1, c)
             with pytest.raises(PoleError) as want:
                 fraction_eval(alpha, x, t)
-            for call in (lambda: eval_M(alpha, x, t), lambda: scan(d, x, table=t)):
+            for call in (lambda: eval_M(alpha, x, t), lambda: eval_M(alpha, x),
+                         lambda: scan(d, x, table=t)):
                 with pytest.raises(PoleError) as got:
                     call()
                 assert got.value.content == want.value.content
@@ -197,6 +218,32 @@ class TestSeriesCoeff:
         with pytest.raises(TableVerificationError,
                            match="alpha=2\\^2, r=1: -6 is not a non-negative integer"):
             series_coeff((2, 2), 1, bad)
+
+    def test_wrong_table_raises(self, tables):
+        # chi(1^5,3; 1^4,2^2) + 1 moves the true count 58 off the integers.
+        # The check is not an assert, so python -O keeps it.
+        t = tables.get(8)
+        values = [list(row) for row in t.values]
+        values[t.position((1, 1, 1, 1, 1, 3))][t.position((1, 1, 1, 1, 2, 2))] += 1
+        bad = tuple(map(tuple, values))
+        message = ("walk count failed: alpha=1^4,2^2, r=4: "
+                   "38649/640 is not a non-negative integer")
+        with pytest.raises(TableVerificationError) as err:
+            series_coeff((1, 1, 1, 1, 2, 2), 4, CharacterTable(8, bad))
+        assert str(err.value) == message
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        run = subprocess.run(
+            [sys.executable, "-O", "-c",
+             "import ast, sys\n"
+             "from wgmono.characters import CharacterTable\n"
+             "from wgmono.genfun import series_coeff\n"
+             "bad = CharacterTable(8, ast.literal_eval(sys.stdin.read()))\n"
+             "series_coeff((1, 1, 1, 1, 2, 2), 4, bad)\n"],
+            input=repr(bad), env=dict(os.environ, PYTHONPATH=src),
+            capture_output=True, text=True)
+        assert run.returncode == 1
+        assert run.stderr.splitlines()[-1] == \
+            f"wgmono.errors.TableVerificationError: {message}"
 
 
 class TestVanishingOrder:

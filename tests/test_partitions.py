@@ -1,7 +1,9 @@
+import tracemalloc
+
 import pytest
 from hypothesis import given, strategies as st
 
-from wgmono.errors import DegreeMismatchError, PartitionError
+from wgmono.errors import CapExceededError, DegreeMismatchError, PartitionError
 from wgmono.exact import factorial
 from wgmono.partitions import (
     Partition,
@@ -63,6 +65,23 @@ class TestPartitionType:
     def test_parse_rejects(self, bad):
         with pytest.raises(PartitionError):
             Partition.parse(bad)
+
+    def test_parse_cap_boundary(self):
+        assert Partition.parse("1^18,2", max_degree=20).degree == 20
+        with pytest.raises(CapExceededError,
+                           match="^degree 21 beyond configured maximum 20$"):
+            Partition.parse("1^19,2", max_degree=20)
+
+    def test_parse_checks_cap_before_expanding(self):
+        tracemalloc.start()
+        try:
+            with pytest.raises(CapExceededError,
+                               match="^degree 10000000000 beyond configured maximum 20$"):
+                Partition.parse("1^10000000000", max_degree=20)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
 
     @given(partitions_st)
     def test_text_round_trip(self, p):
