@@ -89,6 +89,30 @@ class TestCoeff:
         assert code == 0
         assert json.loads(out) == {"alpha": "1^2", "r": 2, "count": "1"}
 
+    @pytest.mark.parametrize("flags", [[], ["-O"]], ids=["python", "python -O"])
+    def test_wrong_table_is_one_error_line(self, flags):
+        # chi(1^5,3; 1^4,2^2) + 1 moves the true count 58 off the integers;
+        # a wrong column must not print a number, also when asserts are stripped.
+        src = str(Path(cli.__file__).resolve().parents[1])
+        run = subprocess.run(
+            [sys.executable, *flags, "-c",
+             "import sys\n"
+             "from wgmono import cli, genfun\n"
+             "from wgmono.partitions import Partition, lex_list\n"
+             "true_column = genfun.character_column\n"
+             "def wrong_column(a):\n"
+             "    column = list(true_column(a))\n"
+             "    column[lex_list(8).index(Partition.parse('1^5,3'))] += 1\n"
+             "    return column\n"
+             "genfun.character_column = wrong_column\n"
+             "sys.exit(cli.main(['coeff', '--alpha', '1^4,2^2', '--r', '4']))\n"],
+            env=dict(os.environ, PYTHONPATH=src), capture_output=True, text=True)
+        assert run.returncode == 1
+        assert run.stdout == ""
+        assert run.stderr.splitlines() == [
+            "error: walk count failed: alpha=1^4,2^2, r=4: "
+            "38649/640 is not a non-negative integer"]
+
     def test_unprintable_csv_count_prints_nothing(self):
         # the count has more digits than Python converts to str
         assert_one_error_line(run_module(
