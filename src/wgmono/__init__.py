@@ -3,70 +3,47 @@
 The central object is the generating function of monotone transposition
 walks per cycle type, evaluated exactly through the character formula
 and scanned for lexicographic monotonicity over whole ranks.
+
+The public names load lazily: ``wgmono.scan`` imports ``wgmono.scanner``
+on first use, so importing the package (or one submodule, such as the
+command line) compiles only what is used.
 """
 
-from .errors import (
-    CapExceededError,
-    DegreeMismatchError,
-    DomainError,
-    PartitionError,
-    PoleError,
-    TableVerificationError,
-)
-from .exact import catalan, factorial, format_rat, int_pow, parse_rat, rat
-from .partitions import (
-    CellStats,
-    Partition,
-    cell_stats,
-    class_size,
-    compare_lex,
-    conjugate,
-    dimension,
-    lex_list,
-    lex_successor,
-)
-from .characters import (
-    CharacterTable,
-    build_table,
-    cache_load,
-    cache_store,
-    character_column,
-    load_or_build,
-    verify_table,
-)
-from .genfun import (
-    complete_homogeneous,
-    counterexample_family,
-    eval_M,
-    leading_ratio,
-    m0_catalan,
-    normalized_value,
-    series_coeff,
-    vanishing_order,
-)
-from .walks import WalkCounts, class_function_check, enumerate_counts, oracle_compare
-from .scanner import (
-    IntervalStat,
-    MValue,
-    Run,
-    ScanReport,
-    interval_stat,
-    scan,
-)
+import importlib
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "CapExceededError", "DegreeMismatchError", "DomainError", "PartitionError",
-    "PoleError", "TableVerificationError",
-    "catalan", "factorial", "format_rat", "int_pow", "parse_rat", "rat",
-    "CellStats", "Partition", "cell_stats", "class_size", "compare_lex",
-    "conjugate", "dimension", "lex_list", "lex_successor",
-    "CharacterTable", "build_table", "cache_load", "cache_store",
-    "character_column", "load_or_build", "verify_table",
-    "complete_homogeneous", "counterexample_family", "eval_M", "leading_ratio",
-    "m0_catalan", "normalized_value", "series_coeff", "vanishing_order",
-    "WalkCounts", "class_function_check", "enumerate_counts", "oracle_compare",
-    "IntervalStat", "MValue", "Run", "ScanReport", "interval_stat", "scan",
-    "__version__",
-]
+# module -> the public names it is the home of
+_EXPORTS = {
+    "errors": ("CapExceededError", "DegreeMismatchError", "DomainError",
+               "PartitionError", "PoleError", "TableVerificationError"),
+    "exact": ("catalan", "factorial", "format_rat", "int_pow", "parse_rat", "rat"),
+    "partitions": ("CellStats", "Partition", "cell_stats", "class_size",
+                   "compare_lex", "conjugate", "dimension", "lex_list",
+                   "lex_successor"),
+    "characters": ("CharacterTable", "build_table", "cache_load", "cache_store",
+                   "character_column", "load_or_build", "verify_table"),
+    "genfun": ("complete_homogeneous", "counterexample_family", "eval_M",
+               "leading_ratio", "m0_catalan", "normalized_value", "series_coeff",
+               "vanishing_order"),
+    "walks": ("WalkCounts", "class_function_check", "enumerate_counts",
+              "oracle_compare"),
+    "scanner": ("IntervalStat", "MValue", "Run", "ScanReport", "interval_stat",
+                "scan"),
+}
+_HOME = {name: module for module, names in _EXPORTS.items() for name in names}
+
+__all__ = [*_HOME, "__version__"]
+
+
+def __getattr__(name):
+    module = _HOME.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f".{module}", __name__), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__():
+    return sorted({*globals(), *__all__})

@@ -13,7 +13,6 @@ directory and an unset variable disables persistence.
 
 from __future__ import annotations
 
-import hashlib
 import os
 import random
 import tempfile
@@ -25,7 +24,7 @@ from pathlib import Path
 from . import _mnkernel_py
 from .errors import CapExceededError, TableVerificationError
 from .exact import factorial
-from .partitions import as_partition, cell_stats, conjugate, lex_list
+from .partitions import Partition, as_partition, cell_stats, conjugate, lex_list
 from ._mnkernel_py import shape_mask
 
 MAX_DEGREE = 20
@@ -92,10 +91,16 @@ def character_column(alpha) -> tuple[int, ...]:
     >>> character_column((3,))  # shapes 1^3, 1,2 and 3
     (1, -1, 1)
     """
+    return _column_and_shapes(alpha)[0]
+
+
+def _column_and_shapes(alpha) -> tuple[tuple[int, ...], list[Partition]]:
+    """The character column of alpha and the ``lex_list(d)`` it runs over."""
     _check_cap(sum(alpha))
     a = as_partition(alpha)
-    masks = [shape_mask(tuple(p)) for p in lex_list(a.degree)]
-    return tuple(_mnkernel_py.compute_columns(masks, [tuple(a)])[0])
+    shapes = lex_list(a.degree)
+    masks = [shape_mask(tuple(p)) for p in shapes]
+    return tuple(_mnkernel_py.compute_columns(masks, [tuple(a)])[0]), shapes
 
 
 def _check_cap(d: int) -> None:
@@ -208,6 +213,8 @@ def cache_store(table: CharacterTable, path: str | os.PathLike) -> None:
     The file is the header ``WGCT2 <d>``, one line per row and a
     ``sha256 <hex>`` line over everything before it.
     """
+    import hashlib  # here, not at the top: the command line never caches
+
     path = Path(path)
     lines = [f"{CACHE_MAGIC} {table.degree}"]
     lines.extend(" ".join(str(v) for v in row) for row in table.values)
@@ -233,6 +240,8 @@ def cache_load(d: int, path: str | os.PathLike) -> CharacterTable | None:
     not parse or do not form a p(d) x p(d) table each give one warning.
     The class order is ``lex_list(d)``, never read from the file.
     """
+    import hashlib
+
     path = Path(path)
     try:
         raw = path.read_bytes()

@@ -9,7 +9,8 @@ Partitions are written "1,1,2" or "1^2,2" on input and always rendered
 in exponent form; rationals are "N/D" or "N" on input and always "N/D"
 reduced on output.  Nothing is read from or written to disk: eval and
 coeff compute the one character column they need, scan and selftest
-build their tables.
+build their tables.  Each verb imports the modules it runs when it
+runs, so a request compiles only those.
 """
 
 from __future__ import annotations
@@ -20,15 +21,11 @@ import io
 import json
 import sys
 
-from . import selftest
-from .characters import MAX_DEGREE, build_table
 from .errors import DomainError, TableVerificationError
-from .exact import format_rat, parse_rat, rat
-from .genfun import (counterexample_family, eval_M, leading_ratio, normalizer,
-                     series_coeff)
-from .partitions import Partition
-from .scanner import interval_stat, scan
-from .walks import enumerate_counts
+
+# The selftest levels, nested: each runs the checks of the ones before it.
+# Their home is here so that building the parser does not import selftest.
+LEVELS = ("quick", "standard", "extended")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -71,12 +68,17 @@ def build_parser() -> argparse.ArgumentParser:
     formats(p)
 
     p = sub.add_parser("selftest", help="run the built-in check suite")
-    p.add_argument("--level", choices=selftest.LEVELS, default="quick")
+    p.add_argument("--level", choices=LEVELS, default="quick")
 
     return parser
 
 
 def _cmd_eval(args) -> int:
+    from .characters import MAX_DEGREE
+    from .exact import format_rat, parse_rat, rat
+    from .genfun import eval_M, normalizer
+    from .partitions import Partition
+
     alpha = Partition.parse(args.alpha, MAX_DEGREE)
     d = alpha.degree
     x = parse_rat(args.x) if args.x is not None else rat(1, d)
@@ -97,6 +99,10 @@ def _cmd_eval(args) -> int:
 
 
 def _cmd_coeff(args) -> int:
+    from .characters import MAX_DEGREE
+    from .genfun import series_coeff
+    from .partitions import Partition
+
     alpha = Partition.parse(args.alpha, MAX_DEGREE)
     count = series_coeff(alpha, args.r)
     # the whole text first: formatting a huge count can fail
@@ -112,14 +118,21 @@ def _cmd_coeff(args) -> int:
 
 
 def _cmd_scan(args) -> int:
+    from .characters import MAX_DEGREE, build_table
+    from .exact import format_rat, parse_rat
+    from .partitions import Partition
+    from .scanner import interval_stat, scan
+
     x = parse_rat(args.x) if args.x is not None else None
-    report = scan(args.d, x, table=build_table(args.d))
-    intervals = ()
+    bounds = ()
     if args.low is not None or args.high is not None:
         if args.low is None or args.high is None:
             raise DomainError("--low and --high must be given together")
-        intervals = (interval_stat(report, Partition.parse(args.low),
-                                   Partition.parse(args.high)),)
+        # both bounds before the table: a bound's degree is capped like --d
+        bounds = (Partition.parse(args.low, MAX_DEGREE),
+                  Partition.parse(args.high, MAX_DEGREE))
+    report = scan(args.d, x, table=build_table(args.d))
+    intervals = (interval_stat(report, *bounds),) if bounds else ()
     if args.format == "json":
         print(report.to_json(intervals))
     elif args.format == "csv":
@@ -145,6 +158,8 @@ def _cmd_scan(args) -> int:
 
 
 def _cmd_walks(args) -> int:
+    from .walks import enumerate_counts
+
     counts = enumerate_counts(args.d, args.R)
     rows = sorted(counts.per_type.items())
     if args.format == "json":
@@ -161,6 +176,10 @@ def _cmd_walks(args) -> int:
 
 
 def _cmd_family(args) -> int:
+    from .exact import format_rat
+    from .genfun import counterexample_family, leading_ratio
+    from .partitions import Partition
+
     if args.n is not None:
         alpha, beta, ratio = counterexample_family(args.n)
     elif args.alpha is not None and args.beta is not None:
@@ -182,6 +201,8 @@ def _cmd_family(args) -> int:
 
 
 def _cmd_selftest(args) -> int:
+    from . import selftest
+
     return selftest.run_selftest(args.level)
 
 

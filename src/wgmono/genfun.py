@@ -32,16 +32,17 @@ import math
 from fractions import Fraction
 from operator import mul
 
-from .characters import CharacterTable, character_column
-from .errors import DegreeMismatchError, PoleError, TableVerificationError
+from .characters import CharacterTable, _column_and_shapes
+from .errors import (CapExceededError, DegreeMismatchError, PoleError,
+                     TableVerificationError)
 from .exact import catalan, factorial, int_pow, rat
-from .partitions import Partition, as_partition, cell_stats, lex_list
+from .partitions import Partition, as_partition, cell_stats
 
 
 def _column(a: Partition, table: CharacterTable | None):
     """The class's character column and its shapes, from the table or computed."""
     if table is None:
-        return character_column(a), lex_list(a.degree)
+        return _column_and_shapes(a)
     if a.degree != table.degree:
         raise DegreeMismatchError(
             f"partition of {a.degree} against table of degree {table.degree}")
@@ -173,17 +174,25 @@ def leading_ratio(alpha, beta) -> Fraction:
     return rat(m0_catalan(b), m0_catalan(a))
 
 
+# The largest n whose ratio Cat_n / 2^n still prints under Python's default
+# 4300-digit limit on int-to-str conversion.
+FAMILY_MAX_N = 7156
+
+
 def counterexample_family(n: int) -> tuple[Partition, Partition, Fraction]:
     """The equal-length pair whose small-x ratio grows without bound.
 
     alpha = (1, 3^n) precedes beta = (2^n, n+1) in dictionary order, yet
-    the limiting ratio Cat_n / 2^n exceeds 1 from n = 5 on.
+    the limiting ratio Cat_n / 2^n exceeds 1 from n = 5 on.  n is capped
+    at ``FAMILY_MAX_N`` before any big-integer work.
 
     >>> counterexample_family(5)
     (Partition('1,3^5'), Partition('2^5,6'), Fraction(21, 16))
     """
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
+    if n > FAMILY_MAX_N:
+        raise CapExceededError(f"n {n} beyond configured maximum {FAMILY_MAX_N}")
     alpha = Partition((1,) + (3,) * n)
     beta = Partition((2,) * n + (n + 1,))
     assert alpha.degree == beta.degree == 3 * n + 1

@@ -13,8 +13,9 @@ both accepted on input; ``str()`` renders the exponent form.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
-from functools import lru_cache, reduce
+from collections import namedtuple
+from functools import lru_cache
+from math import prod
 
 from .errors import CapExceededError, DegreeMismatchError, PartitionError
 from .exact import factorial
@@ -114,7 +115,8 @@ def lex_list(d: int) -> list[Partition]:
             for rest in gen(remaining - p, p):
                 yield (p,) + rest
 
-    return [Partition(t) for t in gen(d, 1)]
+    # gen yields only nondecreasing tuples of positive parts: no re-check
+    return [tuple.__new__(Partition, t) for t in gen(d, 1)]
 
 
 def lex_successor(alpha) -> Partition | None:
@@ -158,15 +160,14 @@ def conjugate(lam) -> Partition:
     return Partition(sorted(cols))
 
 
-@dataclass(frozen=True)
-class CellStats:
+class CellStats(namedtuple("CellStats", "hook_lengths contents")):
     """Hook lengths and contents of a diagram, as sorted multisets."""
-    hook_lengths: tuple[int, ...]
-    contents: tuple[int, ...]
+
+    __slots__ = ()
 
     @property
     def hook_product(self) -> int:
-        return reduce(lambda a, b: a * b, self.hook_lengths, 1)
+        return prod(self.hook_lengths)
 
 
 def cell_stats(lam) -> CellStats:

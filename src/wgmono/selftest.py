@@ -17,6 +17,7 @@ from fractions import Fraction
 from functools import lru_cache, partial
 
 from .characters import build_table, verify_table
+from .cli import LEVELS
 from .exact import factorial, rat
 from .genfun import (
     counterexample_family,
@@ -35,8 +36,6 @@ from .partitions import (
 )
 from .scanner import interval_stat, scan
 from .walks import class_function_check, enumerate_counts, oracle_compare
-
-LEVELS = ("quick", "standard", "extended")
 
 _LEX6 = ["1^6", "1^4,2", "1^3,3", "1^2,2^2", "1^2,4", "1,2,3", "1,5",
          "2^3", "2,4", "3^2", "6"]

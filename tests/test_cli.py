@@ -9,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from wgmono import cli, selftest
+from wgmono import characters, cli, selftest
 from wgmono.characters import (CharacterTable, build_table, cache_load, cache_store,
                                default_cache_path)
 from wgmono.partitions import Partition
@@ -97,14 +97,14 @@ class TestCoeff:
         run = subprocess.run(
             [sys.executable, *flags, "-c",
              "import sys\n"
-             "from wgmono import cli, genfun\n"
+             "from wgmono import _mnkernel_py, cli\n"
              "from wgmono.partitions import Partition, lex_list\n"
-             "true_column = genfun.character_column\n"
-             "def wrong_column(a):\n"
-             "    column = list(true_column(a))\n"
-             "    column[lex_list(8).index(Partition.parse('1^5,3'))] += 1\n"
-             "    return column\n"
-             "genfun.character_column = wrong_column\n"
+             "true_columns = _mnkernel_py.compute_columns\n"
+             "def wrong_columns(masks, alphas):\n"
+             "    columns = true_columns(masks, alphas)\n"
+             "    columns[0][lex_list(8).index(Partition.parse('1^5,3'))] += 1\n"
+             "    return columns\n"
+             "_mnkernel_py.compute_columns = wrong_columns\n"
              "sys.exit(cli.main(['coeff', '--alpha', '1^4,2^2', '--r', '4']))\n"],
             env=dict(os.environ, PYTHONPATH=src), capture_output=True, text=True)
         assert run.returncode == 1
@@ -159,6 +159,21 @@ class TestScan:
         assert code == 1
         assert "maximum" in err
 
+    def test_bounds_capped_before_the_table(self, capsys, monkeypatch):
+        def no_table(d):
+            raise AssertionError("table built before the bounds were parsed")
+
+        monkeypatch.setattr(characters, "build_table", no_table)
+        code, out, err = run_cli(capsys, "scan", "--d", "20",
+                                 "--low", "1^1000000", "--high", "20")
+        assert (code, out) == (1, "")
+        assert err == "error: degree 1000000 beyond configured maximum 20\n"
+
+    def test_bound_of_another_degree(self, capsys):
+        code, _, err = run_cli(capsys, "scan", "--d", "6", "--low", "1^5", "--high", "6")
+        assert code == 1
+        assert err == "error: interval bounds must be partitions of 6\n"
+
 
 class TestWalks:
     def test_csv_counts(self, capsys):
@@ -194,6 +209,11 @@ class TestFamily:
         assert code == 1
         assert "--n" in err
 
+    def test_n_capped_before_big_integers(self, capsys):
+        code, out, err = run_cli(capsys, "family", "--n", "100000")
+        assert (code, out) == (1, "")
+        assert err == "error: n 100000 beyond configured maximum 7156\n"
+
     def test_unprintable_ratio_prints_nothing(self, capsys):
         # the ratio has more digits than Python converts to str
         code, out, err = run_cli(capsys, "family", "--n", "20000")
@@ -216,6 +236,12 @@ class TestUsageErrors:
         with pytest.raises(SystemExit) as err:
             cli.main(["eval", "--alpha", "2", "--bogus"])
         assert err.value.code == 2
+
+    def test_unknown_level_exits_2(self, capsys):
+        with pytest.raises(SystemExit) as err:
+            cli.main(["selftest", "--level", "bogus"])
+        assert err.value.code == 2
+        assert "invalid choice: 'bogus'" in capsys.readouterr().err
 
     def test_missing_required_exits_2(self, capsys):
         with pytest.raises(SystemExit) as err:
@@ -278,17 +304,66 @@ class TestCache:
         assert {p: p.read_bytes() for p in tmp_path.iterdir()} == before
 
 
+def probe(code):
+    """stdout of ``python -c code`` in a fresh process, which must exit 0."""
+    src = str(Path(cli.__file__).resolve().parents[1])
+    run = subprocess.run([sys.executable, "-c", code],
+                         env=dict(os.environ, PYTHONPATH=src),
+                         capture_output=True, text=True)
+    assert run.returncode == 0, run.stderr
+    return run.stdout
+
+
+# Modules a request that runs none of them must leave unloaded.
+UNUSED_BY_COLUMN = ("wgmono.scanner", "wgmono.walks", "wgmono.selftest",
+                    "dataclasses", "hashlib")
+
+
 class TestStartup:
     def test_import_leaves_process_pool_unloaded(self):
-        src = str(Path(cli.__file__).resolve().parents[1])
-        probe = subprocess.run(
-            [sys.executable, "-c",
-             "import sys, wgmono.cli; "
-             "print(sorted(m for m in sys.modules "
-             "if m.split('.')[0] in ('concurrent', 'multiprocessing')))"],
-            env=dict(os.environ, PYTHONPATH=src), capture_output=True, text=True)
-        assert probe.returncode == 0, probe.stderr
-        assert probe.stdout == "[]\n"
+        assert probe("import sys, wgmono.cli; "
+                     "print(sorted(m for m in sys.modules "
+                     "if m.split('.')[0] in ('concurrent', 'multiprocessing')))") == "[]\n"
+
+    def test_import_loads_only_the_front_end(self):
+        assert probe("import sys, wgmono.cli; "
+                     "print(sorted(m for m in sys.modules if m.startswith('wgmono')), "
+                     "'dataclasses' in sys.modules, 'hashlib' in sys.modules)") == \
+            "['wgmono', 'wgmono.cli', 'wgmono.errors'] False False\n"
+
+    @pytest.mark.parametrize("argv", [["eval", "--alpha", "1^6,7", "--x", "1/13"],
+                                      ["coeff", "--alpha", "1^6,7", "--r", "20"]],
+                             ids=["eval", "coeff"])
+    def test_column_verbs_leave_the_rest_unloaded(self, argv):
+        out = probe("import sys\n"
+                    "from wgmono import cli\n"
+                    f"assert cli.main({argv!r}) == 0\n"
+                    f"print([m for m in {UNUSED_BY_COLUMN!r} if m in sys.modules])\n")
+        assert out.splitlines()[-1] == "[]"
+
+    def test_lazy_namespace(self):
+        assert probe(
+            "import wgmono\n"
+            "names = {n: getattr(wgmono, n) for n in wgmono.__all__}\n"
+            "assert set(wgmono.__all__) <= set(dir(wgmono))\n"
+            "ns = {}\n"
+            "exec('from wgmono import *', ns)\n"
+            "assert all(ns[n] is v for n, v in names.items())\n"
+            "from wgmono import characters, scanner\n"
+            "assert wgmono.scan is scanner.scan and characters.build_table is wgmono.build_table\n"
+            "try:\n"
+            "    wgmono.nope\n"
+            "except AttributeError as exc:\n"
+            "    print(exc)\n"
+            "try:\n"
+            "    from wgmono import _mnkernel_c\n"
+            "except ImportError:\n"
+            "    print('no _mnkernel_c')\n") == \
+            "module 'wgmono' has no attribute 'nope'\nno _mnkernel_c\n"
+
+    def test_public_names_unchanged(self):
+        import wgmono
+        assert sorted(wgmono.__all__) == sorted(PUBLIC_NAMES)
 
 
 class TestSelftest:
@@ -301,6 +376,9 @@ class TestSelftest:
     def test_check_names_unique(self):
         names = [name for _, name, _ in selftest.CHECKS]
         assert len(names) == len(set(names))
+
+    def test_levels_have_one_home(self):
+        assert selftest.LEVELS is cli.LEVELS == ("quick", "standard", "extended")
 
     def test_levels_nest_as_prefixes(self):
         quick, standard, extended = (selftest.checks(level)
@@ -328,6 +406,21 @@ class TestSelftest:
         assert selftest.run_selftest("standard", emit=lines.append) == 1
         assert lines[-1].startswith("FAIL bottom coefficient catalan d<=8: ")
 
+
+PUBLIC_NAMES = [
+    "CapExceededError", "DegreeMismatchError", "DomainError", "PartitionError",
+    "PoleError", "TableVerificationError",
+    "catalan", "factorial", "format_rat", "int_pow", "parse_rat", "rat",
+    "CellStats", "Partition", "cell_stats", "class_size", "compare_lex",
+    "conjugate", "dimension", "lex_list", "lex_successor",
+    "CharacterTable", "build_table", "cache_load", "cache_store",
+    "character_column", "load_or_build", "verify_table",
+    "complete_homogeneous", "counterexample_family", "eval_M", "leading_ratio",
+    "m0_catalan", "normalized_value", "series_coeff", "vanishing_order",
+    "WalkCounts", "class_function_check", "enumerate_counts", "oracle_compare",
+    "IntervalStat", "MValue", "Run", "ScanReport", "interval_stat", "scan",
+    "__version__",
+]
 
 STANDARD_NAMES = [
     "lex order d=6",

@@ -2,6 +2,7 @@ import itertools
 import os
 import subprocess
 import sys
+import tracemalloc
 from fractions import Fraction
 from pathlib import Path
 
@@ -10,14 +11,16 @@ import pytest
 from wgmono.characters import CharacterTable
 from wgmono.errors import (CapExceededError, DegreeMismatchError, PoleError,
                            TableVerificationError)
-from wgmono.exact import catalan, factorial, rat
+from wgmono.exact import catalan, factorial, format_rat, rat
 from wgmono.genfun import (
+    FAMILY_MAX_N,
     complete_homogeneous,
     counterexample_family,
     eval_M,
     leading_ratio,
     m0_catalan,
     normalized_value,
+    normalizer,
     series_coeff,
     table_weights,
     vanishing_order,
@@ -151,6 +154,19 @@ class TestIntegerPath:
             eval_M((21,), rat(1, 21))
         with pytest.raises(CapExceededError, match="^degree 21 beyond configured maximum 20$"):
             series_coeff((1, 20), 3)
+
+    def test_table_free_enumerates_shapes_once(self, monkeypatch):
+        calls = []
+        for name, module in list(sys.modules.items()):
+            if name.startswith("wgmono.") and hasattr(module, "lex_list"):
+                monkeypatch.setattr(module, "lex_list",
+                                    lambda d, f=module.lex_list: calls.append(d) or f(d))
+        alpha = Partition.parse("1^6,7")
+        assert eval_M(alpha, rat(1, 13)) * normalizer(13) == \
+            Fraction(30132115571, 1149266300)
+        assert calls == [13]
+        series_coeff(alpha, 20)
+        assert calls == [13, 13]
 
     @pytest.mark.parametrize("d", range(2, 11))
     def test_poles_match_reference(self, d, tables):
@@ -331,6 +347,26 @@ class TestCounterexampleFamily:
             cur = counterexample_family(n)[2]
             assert cur / prev == Fraction(2 * (n - 1) + 1, (n - 1) + 2)
             prev = cur
+
+    def test_cap_prints(self):
+        # the largest n whose ratio still converts to decimal text
+        ratio = counterexample_family(FAMILY_MAX_N)[2]
+        assert format_rat(ratio).startswith(str(ratio.numerator))
+        n = FAMILY_MAX_N + 1
+        with pytest.raises(ValueError, match="integer string conversion"):
+            format_rat(Fraction(catalan(n), 2 ** n))
+
+    def test_beyond_cap_raises_before_big_integers(self):
+        tracemalloc.start()
+        try:
+            with pytest.raises(CapExceededError,
+                               match=f"^n {FAMILY_MAX_N + 1} beyond configured "
+                                     f"maximum {FAMILY_MAX_N}$"):
+                counterexample_family(FAMILY_MAX_N + 1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
 
     def test_growth(self):
         r5 = counterexample_family(5)[2]

@@ -88,6 +88,14 @@ class TestPartitionType:
         assert Partition.parse(str(p)) == p
 
 
+def all_partitions(n):
+    """Oracle: every partition of n as a sorted tuple, one part added at a time."""
+    shapes = {(n,)}
+    for k in range(1, n):
+        shapes |= {tuple(sorted(p + (k,))) for p in all_partitions(n - k)}
+    return shapes
+
+
 class TestLexList:
     def test_d6_matches_reference_order(self):
         assert [tuple(p) for p in lex_list(6)] == LEX6
@@ -104,6 +112,14 @@ class TestLexList:
         out = lex_list(d)
         assert len(out) == count
         assert len(set(out)) == count
+
+    @pytest.mark.parametrize("d", range(1, 13))
+    def test_matches_checked_partitions(self, d):
+        # lex_list skips the constructor's checks; the checked construction
+        # of an independent enumeration must give the same list
+        out = lex_list(d)
+        assert out == [Partition(t) for t in sorted(all_partitions(d))]
+        assert all(type(p) is Partition for p in out)
 
     @pytest.mark.parametrize("d", range(1, 11))
     def test_strictly_increasing_and_bounded(self, d):
@@ -171,6 +187,13 @@ class TestCellStats:
     def test_hook_shape(self):
         s = cell_stats(Partition((1, 2)))
         assert s.hook_lengths == (1, 1, 3) and s.contents == (-1, 0, 1)
+
+    def test_repr_and_tuple(self):
+        s = cell_stats(Partition((1, 2)))
+        assert repr(s) == "CellStats(hook_lengths=(1, 1, 3), contents=(-1, 0, 1))"
+        assert s == ((1, 1, 3), (-1, 0, 1)) and s.hook_product == 3
+        with pytest.raises(AttributeError):
+            s.hook_lengths = ()
 
     @pytest.mark.parametrize("d", [1, 3, 6])
     def test_single_column(self, d):
