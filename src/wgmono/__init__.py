@@ -17,15 +17,14 @@ __version__ = "0.1.0"
 _EXPORTS = {
     "errors": ("CapExceededError", "DegreeMismatchError", "DomainError",
                "PartitionError", "PoleError", "TableVerificationError"),
-    "exact": ("catalan", "factorial", "format_rat", "int_pow", "parse_rat", "rat"),
     "partitions": ("CellStats", "Partition", "cell_stats", "class_size",
                    "compare_lex", "conjugate", "dimension", "lex_list",
                    "lex_successor"),
     "characters": ("CharacterTable", "build_table", "cache_load", "cache_store",
                    "character_column", "load_or_build", "verify_table"),
-    "genfun": ("complete_homogeneous", "counterexample_family", "eval_M",
-               "leading_ratio", "m0_catalan", "normalized_value", "series_coeff",
-               "vanishing_order"),
+    "genfun": ("catalan", "complete_homogeneous", "counterexample_family", "eval_M",
+               "format_rat", "leading_ratio", "m0_catalan", "normalized_value",
+               "parse_rat", "series_coeff", "vanishing_order"),
     "walks": ("WalkCounts", "class_function_check", "enumerate_counts",
               "oracle_compare"),
     "scanner": ("IntervalStat", "MValue", "Run", "ScanReport", "interval_stat",

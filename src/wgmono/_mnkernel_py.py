@@ -20,7 +20,6 @@ work.
 from __future__ import annotations
 
 KERNEL_NAME = "pure-python"
-MAX_DEGREE = None  # unbounded ints, no cap
 
 
 def shape_mask(parts: tuple[int, ...]) -> int:

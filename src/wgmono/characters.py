@@ -23,8 +23,7 @@ from pathlib import Path
 
 from . import _mnkernel_py
 from .errors import CapExceededError, TableVerificationError
-from .exact import factorial
-from .partitions import Partition, as_partition, cell_stats, conjugate, lex_list
+from .partitions import Partition, as_partition, conjugate, dimension, lex_list
 from ._mnkernel_py import shape_mask
 
 MAX_DEGREE = 20
@@ -159,15 +158,12 @@ def verify_table(table: CharacterTable) -> dict[str, int]:
     order = table.order
     values = table.values
     n = len(order)
-    fact = factorial(d)
 
     for lam, row in zip(order, values):
-        hooks = cell_stats(lam).hook_product
-        f, rem = divmod(fact, hooks)
-        if rem != 0 or row[0] != f:
+        f = dimension(lam)
+        if row[0] != f:
             raise TableVerificationError(
-                "dimension column",
-                f"lambda={lam}: table {row[0]}, hooks give {fact}/{hooks}")
+                "dimension column", f"lambda={lam}: table {row[0]}, hooks give {f}")
         if max(row) > f or min(row) < -f:
             j = next(j for j, v in enumerate(row) if abs(v) > f)
             raise TableVerificationError(

@@ -74,14 +74,15 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _cmd_eval(args) -> int:
+    from fractions import Fraction
+
     from .characters import MAX_DEGREE
-    from .exact import format_rat, parse_rat, rat
-    from .genfun import eval_M, normalizer
+    from .genfun import eval_M, format_rat, normalizer, parse_rat
     from .partitions import Partition
 
     alpha = Partition.parse(args.alpha, MAX_DEGREE)
     d = alpha.degree
-    x = parse_rat(args.x) if args.x is not None else rat(1, d)
+    x = parse_rat(args.x) if args.x is not None else Fraction(1, d)
     value = eval_M(alpha, x)
     normalized = value * normalizer(d)
     shown = normalized if args.normalized else value
@@ -119,7 +120,7 @@ def _cmd_coeff(args) -> int:
 
 def _cmd_scan(args) -> int:
     from .characters import MAX_DEGREE, build_table
-    from .exact import format_rat, parse_rat
+    from .genfun import format_rat, parse_rat
     from .partitions import Partition
     from .scanner import interval_stat, scan
 
@@ -176,15 +177,15 @@ def _cmd_walks(args) -> int:
 
 
 def _cmd_family(args) -> int:
-    from .exact import format_rat
-    from .genfun import counterexample_family, leading_ratio
+    from .genfun import FAMILY_MAX_N, counterexample_family, format_rat, leading_ratio
     from .partitions import Partition
 
     if args.n is not None:
         alpha, beta, ratio = counterexample_family(args.n)
     elif args.alpha is not None and args.beta is not None:
-        alpha = Partition.parse(args.alpha)
-        beta = Partition.parse(args.beta)
+        # the degree of the largest built-in pair bounds a custom one
+        alpha = Partition.parse(args.alpha, 3 * FAMILY_MAX_N + 1)
+        beta = Partition.parse(args.beta, 3 * FAMILY_MAX_N + 1)
         ratio = leading_ratio(alpha, beta)
     else:
         raise DomainError("family needs --n, or both --alpha and --beta")

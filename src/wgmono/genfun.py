@@ -24,19 +24,48 @@ product, and a ``Fraction`` appears only for the final result.
 ``normalized_value`` rescales the value at the distinguished point
 x = 1/d by ``normalizer(d)`` = (d!)^2 / d^d, which turns the walk series
 into the compact fractions the scanner reports.
+
+Text form: rationals are ``"N/D"`` in lowest terms with ``D > 0``
+(``format_rat`` always prints the denominator, so the integer one
+renders as ``"1/1"``).
 """
 
 from __future__ import annotations
 
 import math
+import re
 from fractions import Fraction
 from operator import mul
 
 from .characters import CharacterTable, _column_and_shapes
 from .errors import (CapExceededError, DegreeMismatchError, PoleError,
                      TableVerificationError)
-from .exact import catalan, factorial, int_pow, rat
-from .partitions import Partition, as_partition, cell_stats
+from .partitions import Partition, as_partition, cell_stats, dimension
+
+_RAT_RE = re.compile(r"^([+-]?\d+)(?:/(\d+))?$")
+
+
+def parse_rat(text: str) -> Fraction:
+    """Parse "N/D" or integer "N"; anything else (floats included) is rejected."""
+    m = _RAT_RE.match(text.strip())
+    if m is None:
+        raise ValueError(f"not a rational: {text!r} (expected N or N/D)")
+    num = int(m.group(1))
+    den = int(m.group(2)) if m.group(2) is not None else 1
+    if den == 0:
+        raise ZeroDivisionError("division by zero")
+    return Fraction(num, den)
+
+
+def format_rat(q: Fraction) -> str:
+    return f"{q.numerator}/{q.denominator}"
+
+
+def catalan(n: int) -> int:
+    """n-th Catalan number, (2n choose n) / (n + 1)."""
+    if n < 0:
+        raise ValueError(f"catalan of negative {n}")
+    return math.comb(2 * n, n) // (n + 1)
 
 
 def _column(a: Partition, table: CharacterTable | None):
@@ -51,7 +80,7 @@ def _column(a: Partition, table: CharacterTable | None):
 
 def normalizer(d: int) -> Fraction:
     """Rescale factor (d!)^2 / d^d for values at x = 1/d."""
-    return rat(int_pow(factorial(d), 2), int_pow(d, d))
+    return Fraction(math.factorial(d) ** 2, d ** d)
 
 
 def _weights(shapes, x) -> tuple[Fraction, list[int]]:
@@ -69,7 +98,7 @@ def _weights(shapes, x) -> tuple[Fraction, list[int]]:
             denom *= factor
         denoms.append(denom)
     lcm = math.lcm(*denoms)
-    return Fraction(int_pow(q, shapes[0].degree), lcm), [lcm // denom for denom in denoms]
+    return Fraction(q ** shapes[0].degree, lcm), [lcm // denom for denom in denoms]
 
 
 def table_weights(table: CharacterTable, x: Fraction) -> tuple[Fraction, list[int]]:
@@ -98,7 +127,7 @@ def eval_M(alpha, x, table: CharacterTable | None = None) -> Fraction:
 def normalized_value(alpha, table: CharacterTable) -> Fraction:
     """Value at x = 1/d rescaled by (d!)^2 / d^d."""
     d = table.degree
-    return eval_M(alpha, rat(1, d), table) * normalizer(d)
+    return eval_M(alpha, Fraction(1, d), table) * normalizer(d)
 
 
 def complete_homogeneous(values, r: int) -> int:
@@ -131,14 +160,12 @@ def series_coeff(alpha, r: int, table: CharacterTable | None = None) -> int:
         raise ValueError(f"negative length {r}")
     a = as_partition(alpha)
     column, shapes = _column(a, table)
-    fact = factorial(a.degree)
     total = 0
     for chi, lam in zip(column, shapes):
-        if not chi:
-            continue
-        stats = cell_stats(lam)
-        f_lam = fact // stats.hook_product
-        total += chi * f_lam * complete_homogeneous(stats.contents, r)
+        if chi:
+            h_r = complete_homogeneous(cell_stats(lam).contents, r)
+            total += chi * dimension(lam) * h_r
+    fact = math.factorial(a.degree)
     count, rem = divmod(total, fact)
     if rem or count < 0:
         raise TableVerificationError(
@@ -171,7 +198,7 @@ def leading_ratio(alpha, beta) -> Fraction:
         raise DegreeMismatchError(
             f"lengths differ ({a.length} vs {b.length}); "
             "the small-x ratio is 0 or divergent, not a finite number")
-    return rat(m0_catalan(b), m0_catalan(a))
+    return Fraction(m0_catalan(b), m0_catalan(a))
 
 
 # The largest n whose ratio Cat_n / 2^n still prints under Python's default
@@ -197,4 +224,4 @@ def counterexample_family(n: int) -> tuple[Partition, Partition, Fraction]:
     beta = Partition((2,) * n + (n + 1,))
     assert alpha.degree == beta.degree == 3 * n + 1
     assert alpha < beta
-    return alpha, beta, rat(catalan(n), int_pow(2, n))
+    return alpha, beta, Fraction(catalan(n), 2 ** n)

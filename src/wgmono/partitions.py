@@ -15,10 +15,9 @@ from __future__ import annotations
 import re
 from collections import namedtuple
 from functools import lru_cache
-from math import prod
+from math import factorial, prod
 
 from .errors import CapExceededError, DegreeMismatchError, PartitionError
-from .exact import factorial
 
 _PART_RE = re.compile(r"^(\d+)(?:\^(\d+))?$")
 
@@ -182,7 +181,7 @@ def cell_stats(lam) -> CellStats:
 @lru_cache(maxsize=None)
 def _cell_stats(p: Partition) -> CellStats:
     rows = p.rows
-    cols = [sum(1 for r in rows if r > j) for j in range(rows[0])]
+    cols = conjugate(p).rows
     hooks = []
     contents = []
     for i, r in enumerate(rows):

@@ -19,10 +19,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 from operator import mul
 
-from .characters import CharacterTable, load_or_build
+from .characters import CharacterTable, build_table
 from .errors import DomainError
-from .exact import format_rat, rat
-from .genfun import normalizer, table_weights
+from .genfun import format_rat, normalizer, table_weights
 from .partitions import Partition, as_partition
 
 
@@ -48,12 +47,8 @@ class ScanReport:
     ties: tuple[Partition, ...]
     runs: tuple[Run, ...]
 
-    def normalizer(self) -> Fraction:
-        """Rescale factor (d!)^2 / d^d applied for display."""
-        return normalizer(self.degree)
-
     def to_json(self, intervals: tuple["IntervalStat", ...] = ()) -> str:
-        norm = self.normalizer()
+        norm = normalizer(self.degree)
         doc = {
             "degree": self.degree,
             "x": format_rat(self.x),
@@ -85,7 +80,7 @@ class ScanReport:
         return json.dumps(doc, indent=2)
 
     def to_csv(self) -> str:
-        norm = self.normalizer()
+        norm = normalizer(self.degree)
         buf = io.StringIO()
         writer = csv.writer(buf, lineterminator="\n")
         writer.writerow(["partition", "normalized"])
@@ -135,10 +130,10 @@ def scan(d: int, x: Fraction | None = None, *, table: CharacterTable | None = No
     the report.  ``jobs`` is accepted and has no effect.
     """
     if table is None:
-        table = load_or_build(d)
+        table = build_table(d)
     elif table.degree != d:
         raise DomainError(f"table degree {table.degree} does not match d={d}")
-    x = rat(1, d) if x is None else Fraction(x)
+    x = Fraction(1, d) if x is None else Fraction(x)
 
     scale, weights = table_weights(table, x)
     sums = [sum(map(mul, column, weights)) for column in zip(*table.values)]

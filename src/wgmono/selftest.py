@@ -15,10 +15,10 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache, partial
+from math import factorial
 
 from .characters import build_table, verify_table
 from .cli import LEVELS
-from .exact import factorial, rat
 from .genfun import (
     counterexample_family,
     eval_M,
@@ -152,7 +152,7 @@ def family_growth(table):
     first = min(n for n, q in ratios.items() if q > 1)
     _require(first == 5, f"ratio first exceeds 1 at n={first}")
     for n in range(1, 20):
-        _require(ratios[n + 1] / ratios[n] == rat(2 * n + 1, n + 2),
+        _require(ratios[n + 1] / ratios[n] == Fraction(2 * n + 1, n + 2),
                  f"ratio recurrence at n={n}")
     _require(ratios[20] / ratios[5] > 100, "ratio(20) / ratio(5) <= 100")
 
@@ -160,7 +160,8 @@ def family_growth(table):
 def positivity_samples(table, degrees):
     for d in degrees:
         t = table(d)
-        xs = [rat(1, 10 * d), rat(1, 2 * d), rat(1, d), rat(99, 100 * (d - 1))]
+        xs = [Fraction(1, 10 * d), Fraction(1, 2 * d), Fraction(1, d),
+              Fraction(99, 100 * (d - 1))]
         for alpha in t.order:
             for x in xs:
                 _require(eval_M(alpha, x, t) > 0,
@@ -174,7 +175,7 @@ def normalized_pair_d13(table):
         alpha = Partition.parse(text)
         got = normalized_value(alpha, t)
         _require(got == expect, f"normalized value of {text} is {got}")
-        raw.append(eval_M(alpha, rat(1, 13), t))
+        raw.append(eval_M(alpha, Fraction(1, 13), t))
         _require(raw[-1] == _D13_SCALE * expect,
                  f"raw value of {text} at 1/13 is {raw[-1]}")
     _require(raw[0] < raw[1], "degree-13 violating pair not strictly ordered")

@@ -2,6 +2,7 @@ import hashlib
 import itertools
 import random
 import warnings
+from math import factorial
 
 import pytest
 
@@ -16,7 +17,6 @@ from wgmono.characters import (
     verify_table,
 )
 from wgmono.errors import CapExceededError, TableVerificationError
-from wgmono.exact import factorial
 from wgmono.partitions import Partition, cell_stats, class_size, conjugate, lex_list
 from wgmono.scanner import scan
 from wgmono import _mnkernel_py

@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+import tracemalloc
 import warnings
 from pathlib import Path
 
@@ -214,6 +215,28 @@ class TestFamily:
         assert (code, out) == (1, "")
         assert err == "error: n 100000 beyond configured maximum 7156\n"
 
+    def test_custom_pair_capped_by_largest_builtin_degree(self):
+        run = run_module("family", "--alpha", "1^3000000", "--beta", "1^2999998,2")
+        assert_one_error_line(run)
+        assert run.stderr == "error: degree 3000000 beyond configured maximum 21469\n"
+
+    def test_custom_pair_capped_before_expanding(self, capsys):
+        tracemalloc.start()
+        try:
+            code, out, err = run_cli(capsys, "family", "--alpha", "1^10000000000",
+                                     "--beta", "1^9999999998,2")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert (code, out) == (1, "")
+        assert err == "error: degree 10000000000 beyond configured maximum 21469\n"
+        assert peak < 1 << 20
+
+    def test_largest_builtin_pair_accepted_as_custom(self, capsys):
+        custom = run_cli(capsys, "family", "--alpha", "1,3^7156", "--beta", "2^7156,7157")
+        assert custom == run_cli(capsys, "family", "--n", "7156")
+        assert custom[0] == 0
+
     def test_unprintable_ratio_prints_nothing(self, capsys):
         # the ratio has more digits than Python converts to str
         code, out, err = run_cli(capsys, "family", "--n", "20000")
@@ -410,13 +433,13 @@ class TestSelftest:
 PUBLIC_NAMES = [
     "CapExceededError", "DegreeMismatchError", "DomainError", "PartitionError",
     "PoleError", "TableVerificationError",
-    "catalan", "factorial", "format_rat", "int_pow", "parse_rat", "rat",
     "CellStats", "Partition", "cell_stats", "class_size", "compare_lex",
     "conjugate", "dimension", "lex_list", "lex_successor",
     "CharacterTable", "build_table", "cache_load", "cache_store",
     "character_column", "load_or_build", "verify_table",
-    "complete_homogeneous", "counterexample_family", "eval_M", "leading_ratio",
-    "m0_catalan", "normalized_value", "series_coeff", "vanishing_order",
+    "catalan", "complete_homogeneous", "counterexample_family", "eval_M",
+    "format_rat", "leading_ratio", "m0_catalan", "normalized_value", "parse_rat",
+    "series_coeff", "vanishing_order",
     "WalkCounts", "class_function_check", "enumerate_counts", "oracle_compare",
     "IntervalStat", "MValue", "Run", "ScanReport", "interval_stat", "scan",
     "__version__",

@@ -4,23 +4,27 @@ import subprocess
 import sys
 import tracemalloc
 from fractions import Fraction
+from math import factorial
 from pathlib import Path
 
 import pytest
+from hypothesis import given, strategies as st
 
 from wgmono.characters import CharacterTable
 from wgmono.errors import (CapExceededError, DegreeMismatchError, PoleError,
                            TableVerificationError)
-from wgmono.exact import catalan, factorial, format_rat, rat
 from wgmono.genfun import (
     FAMILY_MAX_N,
+    catalan,
     complete_homogeneous,
     counterexample_family,
     eval_M,
+    format_rat,
     leading_ratio,
     m0_catalan,
     normalized_value,
     normalizer,
+    parse_rat,
     series_coeff,
     table_weights,
     vanishing_order,
@@ -58,32 +62,33 @@ class TestCompleteHomogeneous:
 class TestEvalM:
     def test_single_cell(self, tables):
         t = tables.get(1)
-        for x in (rat(1, 2), rat(-3, 7), rat(5, 1)):
+        for x in (Fraction(1, 2), Fraction(-3, 7), Fraction(5, 1)):
             assert eval_M((1,), x, t) == 1
 
     def test_transposition_geometric_series(self, tables):
         # two-cell character sum collapses to x / (1 - x^2)
         t = tables.get(2)
-        assert eval_M((2,), rat(1, 2), t) == Fraction(2, 3)
-        for x in (rat(1, 3), rat(2, 5), rat(-1, 4)):
+        assert eval_M((2,), Fraction(1, 2), t) == Fraction(2, 3)
+        for x in (Fraction(1, 3), Fraction(2, 5), Fraction(-1, 4)):
             assert eval_M((2,), x, t) == x / (1 - x * x)
             assert eval_M((1, 1), x, t) == 1 / (1 - x * x)
 
     def test_pole_names_content(self, tables):
         t = tables.get(3)
         with pytest.raises(PoleError, match="content 2"):
-            eval_M((3,), rat(1, 2), t)
+            eval_M((3,), Fraction(1, 2), t)
         with pytest.raises(PoleError, match="content -1"):
-            eval_M((1, 2), rat(-1, 1), t)
+            eval_M((1, 2), Fraction(-1, 1), t)
 
     def test_degree_mismatch(self, tables):
         with pytest.raises(DegreeMismatchError):
-            eval_M((1, 2), rat(1, 5), tables.get(4))
+            eval_M((1, 2), Fraction(1, 5), tables.get(4))
 
     @pytest.mark.parametrize("d", range(2, 8))
     def test_positive_inside_domain(self, d, tables):
         t = tables.get(d)
-        xs = [rat(1, 10 * d), rat(1, 2 * d), rat(1, d), rat(99, 100 * (d - 1))]
+        xs = [Fraction(1, 10 * d), Fraction(1, 2 * d), Fraction(1, d),
+              Fraction(99, 100 * (d - 1))]
         for alpha in t.order:
             for x in xs:
                 assert eval_M(alpha, x, t) > 0
@@ -119,7 +124,8 @@ class TestIntegerPath:
     @staticmethod
     def points(d):
         # -3/7 and 5/3 make some factors q - c*p negative
-        return [rat(1, d), rat(0), rat(-3, 7), rat(5, 3), rat(2, 2 * d + 1)]
+        return [Fraction(1, d), Fraction(0), Fraction(-3, 7), Fraction(5, 3),
+                Fraction(2, 2 * d + 1)]
 
     @pytest.mark.parametrize("d", range(1, 11))
     def test_weights_match_reference(self, d, tables):
@@ -151,7 +157,7 @@ class TestIntegerPath:
 
     def test_table_free_degree_cap(self):
         with pytest.raises(CapExceededError, match="^degree 21 beyond configured maximum 20$"):
-            eval_M((21,), rat(1, 21))
+            eval_M((21,), Fraction(1, 21))
         with pytest.raises(CapExceededError, match="^degree 21 beyond configured maximum 20$"):
             series_coeff((1, 20), 3)
 
@@ -162,7 +168,7 @@ class TestIntegerPath:
                 monkeypatch.setattr(module, "lex_list",
                                     lambda d, f=module.lex_list: calls.append(d) or f(d))
         alpha = Partition.parse("1^6,7")
-        assert eval_M(alpha, rat(1, 13)) * normalizer(13) == \
+        assert eval_M(alpha, Fraction(1, 13)) * normalizer(13) == \
             Fraction(30132115571, 1149266300)
         assert calls == [13]
         series_coeff(alpha, 20)
@@ -173,7 +179,7 @@ class TestIntegerPath:
         t = tables.get(d)
         alpha = t.order[-1]
         for c in [c for c in range(1 - d, d) if c]:
-            x = rat(1, c)
+            x = Fraction(1, c)
             with pytest.raises(PoleError) as want:
                 fraction_eval(alpha, x, t)
             for call in (lambda: eval_M(alpha, x, t), lambda: eval_M(alpha, x),
@@ -191,9 +197,9 @@ class TestNormalizedValue:
     @pytest.mark.parametrize("d", list(range(1, 7)) + [13])
     def test_consistent_with_eval(self, d, tables):
         t = tables.get(d)
-        scale = rat(factorial(d) ** 2, d ** d)
+        scale = Fraction(factorial(d) ** 2, d ** d)
         for alpha in t.order:
-            assert eval_M(alpha, rat(1, d), t) * scale == normalized_value(alpha, t)
+            assert eval_M(alpha, Fraction(1, d), t) * scale == normalized_value(alpha, t)
 
 
 class TestSeriesCoeff:
@@ -372,3 +378,63 @@ class TestCounterexampleFamily:
         r5 = counterexample_family(5)[2]
         r20 = counterexample_family(20)[2]
         assert r20 / r5 > 100
+
+    def test_violates_at_one_over_2d_not_at_one_over_d(self):
+        # n = 5, d = 16: M_beta / M_alpha is 1.169 at x = 1/32, 0.759 at 1/16
+        alpha, beta, _ = counterexample_family(5)
+        assert alpha.degree == 16
+        assert eval_M(beta, Fraction(1, 32)) > eval_M(alpha, Fraction(1, 32))
+        assert eval_M(beta, Fraction(1, 16)) < eval_M(alpha, Fraction(1, 16))
+
+
+def slow_factorial(n):
+    """Iterated-multiplication oracle."""
+    out = 1
+    for k in range(2, n + 1):
+        out *= k
+    return out
+
+
+def slow_binomial(n, k):
+    if k > n:
+        return 0
+    return slow_factorial(n) // (slow_factorial(k) * slow_factorial(n - k))
+
+
+class TestCatalan:
+    @pytest.mark.parametrize("n,expected", [(0, 1), (2, 2), (5, 42)])
+    def test_values(self, n, expected):
+        assert slow_binomial(2 * n, n) // (n + 1) == expected
+        assert catalan(n) == expected
+
+    def test_recurrence(self):
+        # Cat_{n+1} (n+2) = Cat_n 2 (2n+1), exactly
+        for n in range(0, 65):
+            assert catalan(n + 1) * (n + 2) == catalan(n) * 2 * (2 * n + 1)
+
+
+class TestSerialization:
+    def test_format_rat_keeps_denominator(self):
+        assert format_rat(Fraction(1)) == "1/1"
+        assert format_rat(Fraction(-3, 7)) == "-3/7"
+
+    @pytest.mark.parametrize("text,expected", [
+        ("3/4", Fraction(3, 4)), ("-3/4", Fraction(-3, 4)),
+        ("5", Fraction(5)), ("+2/6", Fraction(1, 3)),
+    ])
+    def test_parse_rat(self, text, expected):
+        assert parse_rat(text) == expected
+
+    @pytest.mark.parametrize("bad", ["3.5", "1/0x2", "a/b", "", "1/-2", "1e3"])
+    def test_parse_rat_rejects(self, bad):
+        with pytest.raises((ValueError, ZeroDivisionError)):
+            parse_rat(bad)
+
+    def test_parse_rat_zero_denominator(self):
+        with pytest.raises(ZeroDivisionError):
+            parse_rat("1/0")
+
+    @given(st.integers(-10**15, 10**15), st.integers(1, 10**15))
+    def test_rat_round_trip(self, n, d):
+        q = Fraction(n, d)
+        assert parse_rat(format_rat(q)) == q

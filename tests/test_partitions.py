@@ -1,10 +1,10 @@
 import tracemalloc
+from math import factorial
 
 import pytest
 from hypothesis import given, strategies as st
 
 from wgmono.errors import CapExceededError, DegreeMismatchError, PartitionError
-from wgmono.exact import factorial
 from wgmono.partitions import (
     Partition,
     cell_stats,

@@ -5,8 +5,9 @@ from fractions import Fraction
 
 import pytest
 
+from wgmono.characters import (CharacterTable, build_table, cache_load, cache_store,
+                               default_cache_path)
 from wgmono.errors import DomainError
-from wgmono.exact import rat
 from wgmono.genfun import eval_M, normalized_value
 from wgmono.partitions import Partition, lex_list
 from wgmono.scanner import (
@@ -39,7 +40,7 @@ class TestClassify:
 class TestScan:
     def test_d6_monotone(self, tables):
         rep = scan(6, table=tables.get(6))
-        assert rep.x == rat(1, 6)
+        assert rep.x == Fraction(1, 6)
         assert rep.violations == ()
         assert rep.ties == ()
         runs = rep.runs
@@ -61,15 +62,29 @@ class TestScan:
                 assert mv.value == eval_M(mv.alpha, rep.x, t)
 
     def test_custom_x(self, tables):
-        rep = scan(5, rat(1, 50), table=tables.get(5))
+        rep = scan(5, Fraction(1, 50), table=tables.get(5))
         assert rep.x == Fraction(1, 50)
         t = tables.get(5)
         for mv in rep.values:
-            assert mv.value == eval_M(mv.alpha, rat(1, 50), t)
+            assert mv.value == eval_M(mv.alpha, Fraction(1, 50), t)
 
     def test_table_degree_checked(self, tables):
         with pytest.raises(DomainError):
             scan(5, table=tables.get(6))
+
+    def test_poisoned_cache_never_reaches_scan(self, tmp_path, monkeypatch):
+        # Rows 1^6,2 and 1,7 swapped under a valid checksum: trusted, the
+        # file scans 5 violations at d = 8 instead of 0.
+        good = build_table(8)
+        rows = list(good.values)
+        i, j = good.position(Partition.parse("1^6,2")), good.position(Partition.parse("1,7"))
+        rows[i], rows[j] = rows[j], rows[i]
+        path = default_cache_path(8, tmp_path)
+        cache_store(CharacterTable(8, tuple(rows)), path)
+        assert len(scan(8, table=cache_load(8, path)).violations) == 5
+        monkeypatch.setenv("WG_CACHE_DIR", str(tmp_path))
+        report = scan(8)
+        assert report == scan(8, table=good) and report.violations == ()
 
     def test_jobs_do_not_change_report(self, tables):
         base = scan(8, table=tables.get(8), jobs=1)
