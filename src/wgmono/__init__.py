@@ -18,10 +18,9 @@ _EXPORTS = {
     "errors": ("CapExceededError", "DegreeMismatchError", "DomainError",
                "PartitionError", "PoleError", "TableVerificationError"),
     "partitions": ("CellStats", "Partition", "cell_stats", "class_size",
-                   "compare_lex", "conjugate", "dimension", "lex_list",
-                   "lex_successor"),
-    "characters": ("CharacterTable", "build_table", "cache_load", "cache_store",
-                   "character_column", "load_or_build", "verify_table"),
+                   "conjugate", "dimension", "lex_list", "lex_successor"),
+    "characters": ("CharacterTable", "build_table", "character_column",
+                   "verify_table"),
     "genfun": ("catalan", "complete_homogeneous", "counterexample_family", "eval_M",
                "format_rat", "leading_ratio", "m0_catalan", "normalized_value",
                "parse_rat", "series_coeff", "vanishing_order"),

@@ -8,7 +8,10 @@ classes that share their smaller parts share that work.
 
 Tables persist to a versioned, checksummed text file of rows only (the
 class order is always ``lex_list(d)``); ``WG_CACHE_DIR`` selects the
-directory and an unset variable disables persistence.
+directory and an unset variable disables persistence.  The cache is kept
+for the benchmark: nothing in the package or the command line reads it,
+and ``wgmono`` does not export it, so import ``load_or_build``,
+``cache_load`` and ``cache_store`` from this module.
 """
 
 from __future__ import annotations
@@ -62,15 +65,9 @@ class CharacterTable:
     def chi(self, lam, alpha) -> int:
         return self.values[self.position(lam)][self.position(alpha)]
 
-    def row(self, lam) -> tuple[int, ...]:
-        return self.values[self.position(lam)]
-
     def column(self, alpha) -> tuple[int, ...]:
         j = self.position(alpha)
         return tuple(row[j] for row in self.values)
-
-    def dimension(self, lam) -> int:
-        return self.values[self.position(lam)][0]
 
     def __eq__(self, other) -> bool:
         return (isinstance(other, CharacterTable)

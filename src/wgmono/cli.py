@@ -119,7 +119,7 @@ def _cmd_coeff(args) -> int:
 
 
 def _cmd_scan(args) -> int:
-    from .characters import MAX_DEGREE, build_table
+    from .characters import MAX_DEGREE
     from .genfun import format_rat, parse_rat
     from .partitions import Partition
     from .scanner import interval_stat, scan
@@ -132,7 +132,7 @@ def _cmd_scan(args) -> int:
         # both bounds before the table: a bound's degree is capped like --d
         bounds = (Partition.parse(args.low, MAX_DEGREE),
                   Partition.parse(args.high, MAX_DEGREE))
-    report = scan(args.d, x, table=build_table(args.d))
+    report = scan(args.d, x)
     intervals = (interval_stat(report, *bounds),) if bounds else ()
     if args.format == "json":
         print(report.to_json(intervals))
@@ -177,15 +177,15 @@ def _cmd_walks(args) -> int:
 
 
 def _cmd_family(args) -> int:
-    from .genfun import FAMILY_MAX_N, counterexample_family, format_rat, leading_ratio
+    from .genfun import counterexample_family, format_rat, leading_ratio
     from .partitions import Partition
 
     if args.n is not None:
         alpha, beta, ratio = counterexample_family(args.n)
     elif args.alpha is not None and args.beta is not None:
-        # the degree of the largest built-in pair bounds a custom one
-        alpha = Partition.parse(args.alpha, 3 * FAMILY_MAX_N + 1)
-        beta = Partition.parse(args.beta, 3 * FAMILY_MAX_N + 1)
+        # parse's default bound is the degree of the largest built-in pair
+        alpha = Partition.parse(args.alpha)
+        beta = Partition.parse(args.beta)
         ratio = leading_ratio(alpha, beta)
     else:
         raise DomainError("family needs --n, or both --alpha and --beta")
@@ -221,7 +221,7 @@ def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return _COMMANDS[args.verb](args)
-    except (DomainError, TableVerificationError, ZeroDivisionError, ValueError) as exc:
+    except (TableVerificationError, ZeroDivisionError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -17,9 +17,13 @@ from collections import namedtuple
 from functools import lru_cache
 from math import factorial, prod
 
-from .errors import CapExceededError, DegreeMismatchError, PartitionError
+from .errors import CapExceededError, PartitionError
 
 _PART_RE = re.compile(r"^(\d+)(?:\^(\d+))?$")
+
+# The largest degree any entry point accepts: the largest built-in family
+# pair, 3 * genfun.FAMILY_MAX_N + 1.  ``Partition.parse`` checks it by default.
+MAX_PARSE_DEGREE = 21469
 
 
 class Partition(tuple):
@@ -59,10 +63,10 @@ class Partition(tuple):
         return tuple(reversed(self))
 
     @classmethod
-    def parse(cls, text: str, max_degree: int | None = None) -> "Partition":
+    def parse(cls, text: str, max_degree: int = MAX_PARSE_DEGREE) -> "Partition":
         """Parse "1,1,2" or the exponent shorthand "1^2,2".
 
-        With ``max_degree`` the degree is checked before ``p^mult`` is expanded.
+        The degree is checked against ``max_degree`` before ``p^mult`` is expanded.
 
         >>> Partition.parse("1^6,7")
         Partition('1^6,7')
@@ -78,7 +82,7 @@ class Partition(tuple):
                 raise PartitionError(f"exponent must be >= 1 in {text!r}")
             pairs.append((p, mult))
         degree = sum(p * mult for p, mult in pairs)
-        if max_degree is not None and degree > max_degree:
+        if degree > max_degree:
             raise CapExceededError.for_degree(degree, max_degree)
         return cls(p for p, mult in pairs for _ in range(mult))
 
@@ -141,15 +145,6 @@ def lex_successor(alpha) -> Partition | None:
         budget -= x
     tail.append(budget)
     return Partition(a[:-2] + tuple(tail))
-
-
-def compare_lex(alpha, beta) -> int:
-    """-1, 0, or +1 as alpha sorts before, equal to, or after beta."""
-    a, b = as_partition(alpha), as_partition(beta)
-    if a.degree != b.degree:
-        raise DegreeMismatchError(
-            f"cannot compare partitions of {a.degree} and {b.degree}")
-    return (a > b) - (a < b)
 
 
 def conjugate(lam) -> Partition:

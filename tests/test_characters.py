@@ -212,12 +212,12 @@ class TestBuildTable:
     def test_d2(self):
         t = build_table(2)
         assert t.order == (Partition((1, 1)), Partition((2,)))
-        assert t.row((2,)) == (1, 1)
-        assert t.row((1, 1)) == (1, -1)
+        assert t.values[t.position((2,))] == (1, 1)
+        assert t.values[t.position((1, 1))] == (1, -1)
 
     def test_d3_dimension_column(self, tables):
         t = tables.get(3)
-        assert [t.dimension(lam) for lam in t.order] == [1, 2, 1]
+        assert [t.values[t.position(lam)][0] for lam in t.order] == [1, 2, 1]
 
     def test_beyond_maximum(self):
         with pytest.raises(CapExceededError):
@@ -232,8 +232,8 @@ class TestBuildTable:
     def test_conjugate_sign_symmetry(self, d, tables):
         t = tables.get(d)
         for lam in t.order:
-            conj_row = t.row(conjugate(lam))
-            row = t.row(lam)
+            conj_row = t.values[t.position(conjugate(lam))]
+            row = t.values[t.position(lam)]
             for j, alpha in enumerate(t.order):
                 sign = -1 if (d - alpha.length) % 2 else 1
                 assert row[j] == sign * conj_row[j]
@@ -242,7 +242,7 @@ class TestBuildTable:
     def test_dimension_column_matches_hooks(self, d, tables):
         t = tables.get(d)
         for lam in t.order:
-            assert t.dimension(lam) == factorial(d) // cell_stats(lam).hook_product
+            assert t.values[t.position(lam)][0] == factorial(d) // cell_stats(lam).hook_product
 
 
 def reference_columns(masks, alphas):

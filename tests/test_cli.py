@@ -10,7 +10,7 @@ from pathlib import Path
 
 import pytest
 
-from wgmono import characters, cli, selftest
+from wgmono import cli, scanner, selftest
 from wgmono.characters import (CharacterTable, build_table, cache_load, cache_store,
                                default_cache_path)
 from wgmono.partitions import Partition
@@ -164,7 +164,7 @@ class TestScan:
         def no_table(d):
             raise AssertionError("table built before the bounds were parsed")
 
-        monkeypatch.setattr(characters, "build_table", no_table)
+        monkeypatch.setattr(scanner, "build_table", no_table)
         code, out, err = run_cli(capsys, "scan", "--d", "20",
                                  "--low", "1^1000000", "--high", "20")
         assert (code, out) == (1, "")
@@ -433,10 +433,9 @@ class TestSelftest:
 PUBLIC_NAMES = [
     "CapExceededError", "DegreeMismatchError", "DomainError", "PartitionError",
     "PoleError", "TableVerificationError",
-    "CellStats", "Partition", "cell_stats", "class_size", "compare_lex",
+    "CellStats", "Partition", "cell_stats", "class_size",
     "conjugate", "dimension", "lex_list", "lex_successor",
-    "CharacterTable", "build_table", "cache_load", "cache_store",
-    "character_column", "load_or_build", "verify_table",
+    "CharacterTable", "build_table", "character_column", "verify_table",
     "catalan", "complete_homogeneous", "counterexample_family", "eval_M",
     "format_rat", "leading_ratio", "m0_catalan", "normalized_value", "parse_rat",
     "series_coeff", "vanishing_order",

@@ -4,12 +4,13 @@ from math import factorial
 import pytest
 from hypothesis import given, strategies as st
 
-from wgmono.errors import CapExceededError, DegreeMismatchError, PartitionError
+from wgmono.errors import CapExceededError, PartitionError
+from wgmono.genfun import FAMILY_MAX_N
 from wgmono.partitions import (
+    MAX_PARSE_DEGREE,
     Partition,
     cell_stats,
     class_size,
-    compare_lex,
     conjugate,
     dimension,
     lex_list,
@@ -72,16 +73,27 @@ class TestPartitionType:
                            match="^degree 21 beyond configured maximum 20$"):
             Partition.parse("1^19,2", max_degree=20)
 
-    def test_parse_checks_cap_before_expanding(self):
+    @staticmethod
+    def rejected_parse_peak(cap, *args):
+        """Peak traced bytes while parse rejects 1^10000000000 at ``cap``."""
         tracemalloc.start()
         try:
             with pytest.raises(CapExceededError,
-                               match="^degree 10000000000 beyond configured maximum 20$"):
-                Partition.parse("1^10000000000", max_degree=20)
-            peak = tracemalloc.get_traced_memory()[1]
+                               match=f"^degree 10000000000 beyond configured maximum {cap}$"):
+                Partition.parse("1^10000000000", *args)
+            return tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 1 << 20
+
+    def test_parse_checks_cap_before_expanding(self):
+        assert self.rejected_parse_peak(20, 20) < 1 << 20
+
+    def test_parse_is_bounded_by_default(self):
+        assert self.rejected_parse_peak(MAX_PARSE_DEGREE) < 1 << 20
+
+    def test_default_bound_is_the_largest_family_degree(self):
+        assert MAX_PARSE_DEGREE == 3 * FAMILY_MAX_N + 1
+        assert Partition.parse(f"1^{MAX_PARSE_DEGREE}").degree == MAX_PARSE_DEGREE
 
     @given(partitions_st)
     def test_text_round_trip(self, p):
@@ -126,7 +138,7 @@ class TestLexList:
         out = lex_list(d)
         assert out[0] == Partition((1,) * d) and out[-1] == Partition((d,))
         for a, b in zip(out, out[1:]):
-            assert compare_lex(a, b) == -1
+            assert a < b
 
 
 class TestLexSuccessor:
@@ -147,17 +159,6 @@ class TestLexSuccessor:
         while (nxt := lex_successor(chain[-1])) is not None:
             chain.append(nxt)
         assert chain == lex_list(d)
-
-
-class TestCompareLex:
-    def test_examples(self):
-        assert compare_lex((1, 1, 4), (1, 2, 3)) == -1
-        assert compare_lex((6,), (6,)) == 0
-        assert compare_lex((2, 2, 2), (1, 5)) == 1
-
-    def test_degree_mismatch(self):
-        with pytest.raises(DegreeMismatchError):
-            compare_lex((1, 2), (4,))
 
 
 class TestConjugate:
