@@ -132,6 +132,8 @@ def _cmd_scan(args) -> int:
         # both bounds before the table: a bound's degree is capped like --d
         bounds = (Partition.parse(args.low, MAX_DEGREE),
                   Partition.parse(args.high, MAX_DEGREE))
+        if args.format == "csv":
+            raise DomainError("--low/--high need --format text or json")
     report = scan(args.d, x)
     intervals = (interval_stat(report, *bounds),) if bounds else ()
     if args.format == "json":
@@ -180,9 +182,10 @@ def _cmd_family(args) -> int:
     from .genfun import counterexample_family, format_rat, leading_ratio
     from .partitions import Partition
 
-    if args.n is not None:
+    pair = (args.alpha, args.beta)
+    if args.n is not None and pair == (None, None):
         alpha, beta, ratio = counterexample_family(args.n)
-    elif args.alpha is not None and args.beta is not None:
+    elif args.n is None and None not in pair:
         # parse's default bound is the degree of the largest built-in pair
         alpha = Partition.parse(args.alpha)
         beta = Partition.parse(args.beta)

@@ -2,20 +2,29 @@
 
 A walk starts at the identity and multiplies one transposition per step
 on the right; the edge for (i j) with i < j is labeled j, and a walk is
-monotone when its label sequence is weakly increasing.  The dynamic
-program runs over states (permutation, last label) for small degrees
-and serves as the independent oracle for the character-formula series
-coefficients.
+monotone when its label sequence is weakly increasing.  Such a walk is a
+run of label-1 steps, then a run of label-2 steps, and so on (Matsumoto
+and Novak's product of the (1 - x J_b)^-1 over b).  The dynamic program
+keeps one count per (permutation, length) and adds the label blocks
+b = 1..d-1 in turn: within block b, lengths rise from 0 and every count
+of length r feeds length r + 1 through each (a b), a < b, in place, so a
+walk may repeat label b.  It runs on permutations only, with no cycle
+types or characters, and serves as the independent oracle for the
+character-formula series coefficients and for their constancy on classes.
 
-Degrees are capped at 7 and lengths at 12: one step above either cap
-roughly multiplies the state table past the supported envelope, so the
-caps are hard errors rather than warnings.
+Degrees are capped at 7 and lengths at 12, as hard errors.  The degree
+cap is where the cost jumps: d = 8 holds 8 times the counts of d = 7
+and, at R = 12, takes 1.8 s and 93 MB against 0.18 s and 25 MB (one
+run, 2 vCPU).  Each length adds only one count per permutation (d = 7,
+R = 24: 0.26 s), so the length cap bounds the envelope the tests cover,
+not the cost.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from operator import itemgetter
 
 from .characters import CharacterTable
 from .errors import CapExceededError
@@ -74,61 +83,48 @@ def enumerate_counts(d: int, R: int) -> WalkCounts:
 
     perms = list(itertools.permutations(range(d)))
     index = {p: i for i, p in enumerate(perms)}
-    identity = index[tuple(range(d))]
 
-    # swap[i][(a, b)] = index of perms[i] with positions a, b exchanged,
-    # i.e. right multiplication by the transposition (a b)
-    pairs = [(a, b) for b in range(1, d) for a in range(b)]
-    swap = []
-    for p in perms:
-        row = {}
-        for a, b in pairs:
-            q = list(p)
-            q[a], q[b] = q[b], q[a]
-            row[(a, b)] = index[tuple(q)]
-        swap.append(row)
+    def times(a, b):
+        """Right multiplication by (a b): positions a and b exchanged."""
+        order = list(range(d))
+        order[a], order[b] = b, a
+        return [index[q] for q in map(itemgetter(*order), perms)]
 
-    per_permutation: dict[tuple[tuple[int, ...], int], int] = {}
-    for i, p in enumerate(perms):
-        per_permutation[(p, 0)] = 1 if i == identity else 0
+    # counts[i][r]: walks of length r ending at perms[i] whose labels are
+    # at most the current block's; perms[0] is the identity
+    counts = [[0] * (R + 1) for _ in perms]
+    counts[0][0] = 1
+    for b in range(1, d):
+        moves = list(zip(*[times(a, b) for a in range(b)]))
+        # rising r, in place: a length-r count already holds the walks
+        # that end in label b, so the next step may repeat it
+        for r in range(R):
+            for row, targets in zip(counts, moves):
+                c = row[r]
+                if c:
+                    for j in targets:
+                        counts[j][r + 1] += c
 
-    # state[i][lab]: walks ending at perms[i] whose last label is lab
-    # (label of (a b) is b; lab 0 is the empty-walk sentinel)
-    state = [[0] * d for _ in perms]
-    state[identity][0] = 1
-    for r in range(1, R + 1):
-        nxt = [[0] * d for _ in perms]
-        for i, labs in enumerate(state):
-            for lab in range(d):
-                c = labs[lab]
-                if not c:
-                    continue
-                for b in range(max(lab, 1), d):
-                    for a in range(b):
-                        nxt[swap[i][(a, b)]][b] += c
-        state = nxt
-        for i, p in enumerate(perms):
-            per_permutation[(p, r)] = sum(state[i])
-
+    per_permutation = {(p, r): row[r]
+                       for r in range(R + 1) for p, row in zip(perms, counts)}
     per_type: dict[tuple[Partition, int], int] = {}
-    for i, p in enumerate(perms):
+    for p, row in zip(perms, counts):
         t = cycle_type(p)
-        for r in range(R + 1):
-            key = (t, r)
-            if key not in per_type:  # first permutation of the class in index order
-                per_type[key] = per_permutation[(p, r)]
+        if (t, 0) not in per_type:  # first permutation of the class in index order
+            per_type.update(((t, r), c) for r, c in enumerate(row))
 
     return WalkCounts(d, R, per_permutation, per_type)
 
 
 def class_function_check(w: WalkCounts) -> ClassFunctionResult:
     """Verify counts are constant on conjugacy classes for every length."""
+    counts = w.per_permutation
     rep: dict[Partition, tuple[int, ...]] = {}
-    for (perm, r), count in sorted(w.per_permutation.items()):
-        t = cycle_type(perm)
-        first = rep.setdefault(t, perm)
-        if count != w.per_permutation[(first, r)]:
-            return ClassFunctionResult(False, (first, perm, r))
+    for perm in itertools.permutations(range(w.degree)):  # sorted order
+        first = rep.setdefault(cycle_type(perm), perm)
+        for r in range(w.max_length + 1):
+            if counts[(perm, r)] != counts[(first, r)]:
+                return ClassFunctionResult(False, (first, perm, r))
     return ClassFunctionResult(True)
 
 

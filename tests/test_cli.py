@@ -170,6 +170,16 @@ class TestScan:
         assert (code, out) == (1, "")
         assert err == "error: degree 1000000 beyond configured maximum 20\n"
 
+    def test_interval_rejected_with_csv_before_the_table(self, capsys, monkeypatch):
+        def no_table(d):
+            raise AssertionError("table built for a request csv cannot show")
+
+        monkeypatch.setattr(scanner, "build_table", no_table)
+        code, out, err = run_cli(capsys, "scan", "--d", "3", "--low", "1^3",
+                                 "--high", "3", "--format", "csv")
+        assert (code, out) == (1, "")
+        assert err == "error: --low/--high need --format text or json\n"
+
     def test_bound_of_another_degree(self, capsys):
         code, _, err = run_cli(capsys, "scan", "--d", "6", "--low", "1^5", "--high", "6")
         assert code == 1
@@ -209,6 +219,13 @@ class TestFamily:
         code, _, err = run_cli(capsys, "family")
         assert code == 1
         assert "--n" in err
+
+    @pytest.mark.parametrize("extra", [["--alpha", "1"], ["--beta", "1"],
+                                       ["--alpha", "1,3", "--beta", "2,2"]])
+    def test_n_with_a_custom_partition_rejected(self, capsys, extra):
+        code, out, err = run_cli(capsys, "family", "--n", "5", *extra)
+        assert (code, out) == (1, "")
+        assert err == "error: family needs --n, or both --alpha and --beta\n"
 
     def test_n_capped_before_big_integers(self, capsys):
         code, out, err = run_cli(capsys, "family", "--n", "100000")

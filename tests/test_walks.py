@@ -78,7 +78,7 @@ class TestEnumerateCounts:
         w = enumerate_counts(4, 3)
         assert w.per_type[(Partition((4,)), 3)] == 5  # Cat_3
 
-    @pytest.mark.parametrize("d,R", [(2, 4), (3, 4), (4, 3)])
+    @pytest.mark.parametrize("d,R", [(2, 4), (3, 4), (4, 3), (5, 4)])
     def test_against_full_enumeration(self, d, R):
         w = enumerate_counts(d, R)
         oracle = walks_by_full_enumeration(d, R)
@@ -112,7 +112,7 @@ class TestEnumerateCounts:
 
 
 class TestClassFunctionCheck:
-    @pytest.mark.parametrize("d,R", [(2, 4), (4, 6), (5, 5)])
+    @pytest.mark.parametrize("d,R", [(2, 4), (4, 6), (5, 5), (7, 12)])
     def test_passes(self, d, R):
         assert class_function_check(enumerate_counts(d, R)) == ClassFunctionResult(True)
 
@@ -130,7 +130,7 @@ class TestClassFunctionCheck:
 
 
 class TestOracleCompare:
-    @pytest.mark.parametrize("d,R", [(2, 10), (3, 8), (4, 8), (5, 6)])
+    @pytest.mark.parametrize("d,R", [(2, 10), (3, 8), (4, 8), (5, 6), (7, 12)])
     def test_passes(self, d, R, tables):
         report = oracle_compare(d, R, tables.get(d))
         assert report.passed, report.mismatches[:3]
