@@ -24,8 +24,7 @@ _EXPORTS = {
     "genfun": ("catalan", "complete_homogeneous", "counterexample_family", "eval_M",
                "format_rat", "leading_ratio", "m0_catalan", "normalized_value",
                "parse_rat", "series_coeff", "vanishing_order"),
-    "walks": ("WalkCounts", "class_function_check", "enumerate_counts",
-              "oracle_compare"),
+    "walks": ("WalkCounts", "class_function_check", "enumerate_counts"),
     "scanner": ("IntervalStat", "MValue", "Run", "ScanReport", "interval_stat",
                 "scan"),
 }

@@ -11,12 +11,14 @@ of length r feeds length r + 1 through each (a b), a < b, in place, so a
 walk may repeat label b.  It runs on permutations only, with no cycle
 types or characters, and serves as the independent oracle for the
 character-formula series coefficients and for their constancy on classes.
+The comparison with the formula lives in ``selftest.walk_oracle``, so this
+module imports no character code.
 
 Degrees are capped at 7 and lengths at 12, as hard errors.  The degree
 cap is where the cost jumps: d = 8 holds 8 times the counts of d = 7
-and, at R = 12, takes 1.8 s and 93 MB against 0.18 s and 25 MB (one
+and, at R = 12, takes 1.3 s and 46 MB against 0.09 s and 19 MB (one
 run, 2 vCPU).  Each length adds only one count per permutation (d = 7,
-R = 24: 0.26 s), so the length cap bounds the envelope the tests cover,
+R = 24: 0.17 s), so the length cap bounds the envelope the tests cover,
 not the cost.
 """
 
@@ -26,9 +28,7 @@ import itertools
 from dataclasses import dataclass
 from operator import itemgetter
 
-from .characters import CharacterTable
 from .errors import CapExceededError
-from .genfun import series_coeff
 from .partitions import Partition
 
 MAX_DEGREE = 7
@@ -56,22 +56,8 @@ def cycle_type(perm: tuple[int, ...]) -> Partition:
 class WalkCounts:
     degree: int
     max_length: int
-    per_permutation: dict[tuple[tuple[int, ...], int], int]
+    per_permutation: dict[tuple[int, ...], tuple[int, ...]]  # counts by length
     per_type: dict[tuple[Partition, int], int]
-
-
-@dataclass(frozen=True)
-class ClassFunctionResult:
-    passed: bool
-    witness: tuple[tuple[int, ...], tuple[int, ...], int] | None = None
-
-
-@dataclass(frozen=True)
-class OracleReport:
-    passed: bool
-    degree: int
-    max_length: int
-    mismatches: tuple[tuple[Partition, int, int, int], ...]
 
 
 def enumerate_counts(d: int, R: int) -> WalkCounts:
@@ -105,8 +91,7 @@ def enumerate_counts(d: int, R: int) -> WalkCounts:
                     for j in targets:
                         counts[j][r + 1] += c
 
-    per_permutation = {(p, r): row[r]
-                       for r in range(R + 1) for p, row in zip(perms, counts)}
+    per_permutation = {p: tuple(row) for p, row in zip(perms, counts)}
     per_type: dict[tuple[Partition, int], int] = {}
     for p, row in zip(perms, counts):
         t = cycle_type(p)
@@ -116,27 +101,18 @@ def enumerate_counts(d: int, R: int) -> WalkCounts:
     return WalkCounts(d, R, per_permutation, per_type)
 
 
-def class_function_check(w: WalkCounts) -> ClassFunctionResult:
-    """Verify counts are constant on conjugacy classes for every length."""
-    counts = w.per_permutation
+def class_function_check(w: WalkCounts) -> tuple[tuple, tuple, int] | None:
+    """First (representative, permutation, r) whose counts differ, or None.
+
+    Permutations run in sorted order, a class's representative is its
+    first permutation, and r is the shortest length where the rows differ.
+    """
+    rows = w.per_permutation
     rep: dict[Partition, tuple[int, ...]] = {}
     for perm in itertools.permutations(range(w.degree)):  # sorted order
         first = rep.setdefault(cycle_type(perm), perm)
-        for r in range(w.max_length + 1):
-            if counts[(perm, r)] != counts[(first, r)]:
-                return ClassFunctionResult(False, (first, perm, r))
-    return ClassFunctionResult(True)
-
-
-def oracle_compare(d: int, R: int, table: CharacterTable) -> OracleReport:
-    """Walk-count DP against the character-formula coefficients, all types."""
-    counts = enumerate_counts(d, R)
-    mismatches = []
-    seen_types = sorted({t for t, _ in counts.per_type})
-    for t in seen_types:
-        for r in range(R + 1):
-            walked = counts.per_type[(t, r)]
-            formula = series_coeff(t, r, table)
-            if walked != formula:
-                mismatches.append((t, r, walked, formula))
-    return OracleReport(not mismatches, d, R, tuple(mismatches))
+        if rows[perm] != rows[first]:
+            r = next(r for r, (a, b) in enumerate(zip(rows[first], rows[perm]))
+                     if a != b)
+            return first, perm, r
+    return None

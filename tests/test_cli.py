@@ -381,6 +381,14 @@ class TestStartup:
                     f"print([m for m in {UNUSED_BY_COLUMN!r} if m in sys.modules])\n")
         assert out.splitlines()[-1] == "[]"
 
+    def test_walks_verb_leaves_the_formula_unloaded(self):
+        out = probe("import sys\n"
+                    "from wgmono import cli\n"
+                    "assert cli.main(['walks', '--d', '3', '--R', '1']) == 0\n"
+                    "print([m for m in ('wgmono.characters', 'wgmono.genfun', "
+                    "'wgmono._mnkernel_py', 'fractions') if m in sys.modules])\n")
+        assert out.splitlines()[-1] == "[]"
+
     def test_lazy_namespace(self):
         assert probe(
             "import wgmono\n"
@@ -427,13 +435,13 @@ class TestSelftest:
         assert extended[:len(standard)] == standard
         assert extended == selftest.CHECKS
 
-    def test_standard_output_pinned(self):
-        lines = []
-        assert selftest.run_selftest("standard", emit=lines.append) == 0
-        assert lines == [f"ok {name}" for name in STANDARD_NAMES] + [
+    def test_standard_output_pinned(self, capsys):
+        assert selftest.run_selftest("standard") == 0
+        assert capsys.readouterr().out.splitlines() == [
+            f"ok {name}" for name in STANDARD_NAMES] + [
             "selftest standard: 18 checks passed"]
 
-    def test_failed_identity_prints_fail_line(self, monkeypatch):
+    def test_failed_identity_prints_fail_line(self, monkeypatch, capsys):
         # chi(1^4,2^2; 1^3,2,3) + 1 at d = 8, past the tables the quick
         # level verifies
         good = build_table(8)
@@ -442,9 +450,9 @@ class TestSelftest:
         bad = CharacterTable(8, tuple(map(tuple, values)))
         monkeypatch.setattr(selftest, "build_table",
                             lambda d: bad if d == 8 else build_table(d))
-        lines = []
-        assert selftest.run_selftest("standard", emit=lines.append) == 1
-        assert lines[-1].startswith("FAIL bottom coefficient catalan d<=8: ")
+        assert selftest.run_selftest("standard") == 1
+        last = capsys.readouterr().out.splitlines()[-1]
+        assert last.startswith("FAIL bottom coefficient catalan d<=8: ")
 
 
 PUBLIC_NAMES = [
@@ -456,7 +464,7 @@ PUBLIC_NAMES = [
     "catalan", "complete_homogeneous", "counterexample_family", "eval_M",
     "format_rat", "leading_ratio", "m0_catalan", "normalized_value", "parse_rat",
     "series_coeff", "vanishing_order",
-    "WalkCounts", "class_function_check", "enumerate_counts", "oracle_compare",
+    "WalkCounts", "class_function_check", "enumerate_counts",
     "IntervalStat", "MValue", "Run", "ScanReport", "interval_stat", "scan",
     "__version__",
 ]

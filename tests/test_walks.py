@@ -2,15 +2,15 @@ import itertools
 
 import pytest
 
+from wgmono import selftest
+from wgmono.characters import CharacterTable
 from wgmono.errors import CapExceededError
 from wgmono.partitions import Partition
 from wgmono.walks import (
-    ClassFunctionResult,
     WalkCounts,
     class_function_check,
     cycle_type,
     enumerate_counts,
-    oracle_compare,
 )
 
 
@@ -61,10 +61,10 @@ class TestEnumerateCounts:
     def test_time_zero_row(self):
         w = enumerate_counts(3, 2)
         identity = (0, 1, 2)
-        assert w.per_permutation[(identity, 0)] == 1
+        assert w.per_permutation[identity][0] == 1
         for perm in itertools.permutations(range(3)):
             if perm != identity:
-                assert w.per_permutation[(perm, 0)] == 0
+                assert w.per_permutation[perm][0] == 0
 
     def test_unique_transposition_step(self):
         w = enumerate_counts(2, 1)
@@ -84,7 +84,7 @@ class TestEnumerateCounts:
         oracle = walks_by_full_enumeration(d, R)
         for perm in itertools.permutations(range(d)):
             for r in range(R + 1):
-                assert w.per_permutation[(perm, r)] == oracle.get((perm, r), 0)
+                assert w.per_permutation[perm][r] == oracle.get((perm, r), 0)
 
     @pytest.mark.parametrize("d", [3, 4, 5])
     def test_parity(self, d):
@@ -98,7 +98,7 @@ class TestEnumerateCounts:
         w = enumerate_counts(d, 4)
         free = unconstrained_totals(d, 4)
         for r in range(2, 5):
-            monotone_total = sum(w.per_permutation[(p, r)]
+            monotone_total = sum(w.per_permutation[p][r]
                                  for p in itertools.permutations(range(d)))
             assert monotone_total < free[r]
 
@@ -108,32 +108,43 @@ class TestEnumerateCounts:
         for perm in itertools.permutations(range(d)):
             inv = tuple(sorted(range(d), key=lambda k: perm[k]))
             for r in range(6):
-                assert w.per_permutation[(perm, r)] == w.per_permutation[(inv, r)]
+                assert w.per_permutation[perm][r] == w.per_permutation[inv][r]
 
 
 class TestClassFunctionCheck:
     @pytest.mark.parametrize("d,R", [(2, 4), (4, 6), (5, 5), (7, 12)])
     def test_passes(self, d, R):
-        assert class_function_check(enumerate_counts(d, R)) == ClassFunctionResult(True)
+        assert class_function_check(enumerate_counts(d, R)) is None
 
     def test_perturbation_caught_with_witness(self):
         w = enumerate_counts(4, 4)
         perturbed = dict(w.per_permutation)
-        victim = ((1, 0, 2, 3), 4)
-        perturbed[victim] += 1
+        victim = (1, 0, 2, 3)
+        row = list(perturbed[victim])
+        row[4] += 1
+        perturbed[victim] = tuple(row)
         bad = WalkCounts(w.degree, w.max_length, perturbed, w.per_type)
-        result = class_function_check(bad)
-        assert not result.passed
-        first, second, r = result.witness
+        first, second, r = class_function_check(bad)
+        assert (first, second, r) == ((0, 1, 3, 2), victim, 4)
         assert cycle_type(first) == cycle_type(second)
-        assert bad.per_permutation[(first, r)] != bad.per_permutation[(second, r)]
+        assert bad.per_permutation[first][r] != bad.per_permutation[second][r]
 
 
 class TestOracleCompare:
     @pytest.mark.parametrize("d,R", [(2, 10), (3, 8), (4, 8), (5, 6), (7, 12)])
     def test_passes(self, d, R, tables):
-        report = oracle_compare(d, R, tables.get(d))
-        assert report.passed, report.mismatches[:3]
+        selftest.walk_oracle(tables.get, degrees=(d,), steps=R)
+
+    def test_swapped_columns_caught(self, tables):
+        good = tables.get(4)
+        i, j = good.position((1, 3)), good.position((4,))
+        values = [list(row) for row in good.values]
+        for row in values:
+            row[i], row[j] = row[j], row[i]
+        bad = CharacterTable(4, tuple(map(tuple, values)))
+        with pytest.raises(AssertionError,
+                           match=r"^d=4 class 1,3, r=2: 2 walks, formula 0$"):
+            selftest.walk_oracle(lambda d: bad, degrees=(4,), steps=6)
 
     def test_single_generator_column(self, tables):
         w = enumerate_counts(2, 10)
