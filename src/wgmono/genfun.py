@@ -146,6 +146,13 @@ def complete_homogeneous(values, r: int) -> int:
     return acc[r]
 
 
+# Walk lengths above this cap are rejected before any column or list is
+# built.  From r = 14,300 on the smallest nonzero count at degree 3 and up
+# has more digits than Python's default 4300-digit limit on int-to-str
+# conversion, so no count at d >= 3 above the cap could be printed.
+MAX_R = 15_000
+
+
 def series_coeff(alpha, r: int, table: CharacterTable | None = None) -> int:
     """Number of r-step monotone walks reaching cycle type alpha.
 
@@ -154,10 +161,13 @@ def series_coeff(alpha, r: int, table: CharacterTable | None = None) -> int:
     with d!/H_lambda = f^lambda the sum is an integer over d!.  A sum that
     is not a non-negative multiple of d! can only come from a wrong table,
     and raises ``TableVerificationError`` (also under ``python -O``).
-    Without a table the one character column is computed.
+    Without a table the one character column is computed.  r is capped at
+    ``MAX_R``.
     """
     if r < 0:
         raise ValueError(f"negative length {r}")
+    if r > MAX_R:
+        raise CapExceededError(f"r {r} beyond configured maximum {MAX_R}")
     a = as_partition(alpha)
     column, shapes = _column(a, table)
     total = 0

@@ -66,3 +66,8 @@ def test_check(name, check, tables):
     elapsed = time.perf_counter() - start
     print(f"PASS {name}: {elapsed:.2f}s (budget {seconds}s)")
     assert elapsed < seconds, f"{name} exceeded budget: {elapsed:.1f}s > {seconds}s"
+
+
+def test_budgets_name_the_checks():
+    # a renamed or removed check must not leave a stale budget behind
+    assert set(BUDGETS) == {name for _, name, _ in CHECKS}
