@@ -14,7 +14,10 @@ s_lambda is p_alpha = p_a1 ... p_ak applied to the empty shape, one part
 at a time, and multiplying by p_r adds every border strip of size r with
 its sign.  The classes are visited in sorted order with a stack of
 prefix vectors, so classes that share their smaller parts share that
-work.
+work.  The vector of size n is indexed by the shapes of n in
+``lex_list(n)`` order, and only the sizes some prefix of a class reaches
+are enumerated: the column of (1, 1, 18) visits the shapes of 1, 2 and
+20 only.
 """
 
 from __future__ import annotations
@@ -32,57 +35,74 @@ def shape_mask(parts: tuple[int, ...]) -> int:
     return mask
 
 
-def _add_strips(mask: int, r: int) -> list[tuple[int, int]]:
-    """(child mask, height parity) for every border strip of size r added."""
-    padded = (mask << r) | ((1 << r) - 1)
+def lex_masks(n: int) -> list[int]:
+    """Bead masks of the partitions of n, in ``lex_list(n)`` order; [0] for n = 0."""
     out = []
-    m = padded
-    while m:
-        low = m & -m
-        m ^= low
-        if not padded & (low << r):
-            between = padded & ((low << r) - (low << 1))
-            child = padded ^ low ^ (low << r)
-            while child & 1:
-                child >>= 1
-            out.append((child, between.bit_count() & 1))
+
+    def gen(remaining: int, least: int, i: int, mask: int) -> None:
+        # parts i, i+1, ... still to place, each at least ``least``
+        for p in range(least, remaining // 2 + 1):
+            gen(remaining - p, p, i + 1, mask | 1 << (p + i))
+        out.append(mask | 1 << (remaining + i))  # the last part takes the rest
+
+    if n:
+        gen(n, 1, 0, 0)
+    else:
+        out.append(0)
     return out
 
 
-def compute_columns(masks: list[int], alphas: list[tuple[int, ...]]) -> list[list[int]]:
-    """Character values column by column: result[j][i] = chi(masks[i], alphas[j]).
-
-    Every mask must be a shape of its alpha's degree.  Any lists work,
-    in any order; classes given in stored (nondecreasing) form share
-    the most work.
+def _strip_moves(masks: list[int], r: int, at: dict[int, int]) -> list[tuple[list, list]]:
+    """Per mask, (even, odd): the positions ``at[child]`` of the shapes one
+    border strip of size r adds, split by the parity of the strip height.
     """
-    top = max((sum(a) for a in alphas), default=0)
-    # shapes[n]: masks of every partition of n, in a fixed order
-    shapes = [[0]]
-    for n in range(top):
-        shapes.append(sorted({c for m in shapes[n] for c, _ in _add_strips(m, 1)}))
-    pos = [{m: i for i, m in enumerate(s)} for s in shapes]
+    fill = (1 << r) - 1
+    out = []
+    for mask in masks:
+        padded = (mask << r) | fill
+        signed = ([], [])
+        free = padded & ~(padded >> r)  # beads whose slot b + r is free
+        while free:
+            low = free & -free
+            free ^= low
+            high = low << r
+            child = padded ^ low ^ high
+            child >>= (~child & (child + 1)).bit_length() - 1  # drop empty rows
+            signed[(padded & (high - (low << 1))).bit_count() & 1].append(at[child])
+        out.append(signed)
+    return out
 
+
+def class_vectors(alphas):
+    """Yield (class, vector) for every distinct class, in sorted order.
+
+    A class is a nondecreasing tuple of parts summing to d, and
+    ``vector[i]`` is chi(lex_list(d)[i], class).  Sorted order on the
+    classes of one degree is ``lex_list(d)`` order.  The vectors are
+    never changed after they are yielded.
+    """
+    classes = sorted({tuple(a) for a in alphas})
+    shapes = {0: [0]}  # size -> masks in lex_list order, for every size reached
+    for alpha in classes:
+        n = 0
+        for r in alpha:
+            n += r
+            if n not in shapes:
+                shapes[n] = lex_masks(n)
+    at = {}  # size -> {mask: position}
     strips = {}  # (n, r) -> per shape of size n: (plus, minus) positions at n + r
 
     def moves(n: int, r: int):
         table = strips.get((n, r))
         if table is None:
-            at = pos[n + r]
-            table = []
-            for m in shapes[n]:
-                signed = ([], [])
-                for child, odd in _add_strips(m, r):
-                    signed[odd].append(at[child])
-                table.append(signed)
-            strips[n, r] = table
+            if n + r not in at:
+                at[n + r] = {m: i for i, m in enumerate(shapes[n + r])}
+            table = strips[n, r] = _strip_moves(shapes[n], r, at[n + r])
         return table
 
-    out = [None] * len(alphas)
     stack = [[1]]  # stack[k]: vector of the first k parts of prev
     prev: tuple[int, ...] = ()
-    for j in sorted(range(len(alphas)), key=lambda j: tuple(alphas[j])):
-        alpha = tuple(alphas[j])
+    for alpha in classes:
         k = 0
         while k < len(prev) and k < len(alpha) and prev[k] == alpha[k]:
             k += 1
@@ -99,6 +119,23 @@ def compute_columns(masks: list[int], alphas: list[tuple[int, ...]]) -> list[lis
             stack.append(vec)
             n += r
         prev = alpha
-        vec, at = stack[-1], pos[n]
-        out[j] = [vec[at[m]] for m in masks]
-    return out
+        yield alpha, stack[-1]
+
+
+def compute_columns(masks: list[int], alphas: list[tuple[int, ...]]) -> list[list[int]]:
+    """Character values column by column: result[j][i] = chi(masks[i], alphas[j]).
+
+    Every mask must be a shape of its alpha's degree.  Any lists work,
+    in any order, with repeats; classes given in stored (nondecreasing)
+    form share the most work.  Masks in ``lex_masks(d)`` order take the
+    vectors as they are; any other order is gathered entry by entry.
+    """
+    alphas = [tuple(a) for a in alphas]
+    if not alphas:
+        return []
+    vectors = dict(class_vectors(alphas))
+    lex = lex_masks(sum(alphas[0]))
+    if masks == lex:
+        return [list(vectors[a]) for a in alphas]
+    at = {m: i for i, m in enumerate(lex)}
+    return [[vec[at[m]] for m in masks] for vec in map(vectors.__getitem__, alphas)]

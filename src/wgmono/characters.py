@@ -17,17 +17,12 @@ and ``wgmono`` does not export it, so import ``load_or_build``,
 from __future__ import annotations
 
 import os
-import random
-import tempfile
-import warnings
 from math import prod
 from operator import mul
-from pathlib import Path
 
 from . import _mnkernel_py
 from .errors import CapExceededError, TableVerificationError
 from .partitions import Partition, as_partition, conjugate, dimension, lex_list
-from ._mnkernel_py import shape_mask
 
 MAX_DEGREE = 20
 CACHE_MAGIC = "WGCT2"
@@ -81,8 +76,8 @@ class CharacterTable:
 def character_column(alpha) -> tuple[int, ...]:
     """chi(lam, alpha) for every shape lam in ``lex_list(d)``, d at most ``MAX_DEGREE``.
 
-    The column DP runs over every shape of each smaller degree, so one
-    column costs about what one class of ``build_table`` costs.
+    The column DP visits only the degrees the class's prefix sums reach,
+    so a class with few parts costs little more than its last level.
 
     >>> character_column((3,))  # shapes 1^3, 1,2 and 3
     (1, -1, 1)
@@ -94,9 +89,8 @@ def _column_and_shapes(alpha) -> tuple[tuple[int, ...], list[Partition]]:
     """The character column of alpha and the ``lex_list(d)`` it runs over."""
     _check_cap(sum(alpha))
     a = as_partition(alpha)
-    shapes = lex_list(a.degree)
-    masks = [shape_mask(tuple(p)) for p in shapes]
-    return tuple(_mnkernel_py.compute_columns(masks, [tuple(a)])[0]), shapes
+    column = _mnkernel_py.compute_columns(_mnkernel_py.lex_masks(a.degree), [tuple(a)])[0]
+    return tuple(column), lex_list(a.degree)
 
 
 def _check_cap(d: int) -> None:
@@ -112,9 +106,7 @@ def build_table(d: int, *, jobs: int = 1) -> CharacterTable:
     The build runs in one process; ``jobs`` is accepted and has no effect.
     """
     _check_cap(d)
-    order = lex_list(d)
-    cols = _mnkernel_py.compute_columns([shape_mask(tuple(p)) for p in order],
-                                        [tuple(p) for p in order])
+    cols = [vec for _, vec in _mnkernel_py.class_vectors(lex_list(d))]
     return CharacterTable(d, tuple(zip(*cols)))
 
 
@@ -166,6 +158,8 @@ def verify_table(table: CharacterTable) -> dict[str, int]:
             raise TableVerificationError(
                 "character bound", f"lambda={lam}, alpha={order[j]}: |{row[j]}| > {f}")
 
+    import random  # here, not at the top: only the certificate draws a point
+
     rng = random.Random(d)
     y = [rng.randrange(_PRIME) for _ in range(d)]
     h, e = [1] + [0] * d, [1] + [0] * d
@@ -194,6 +188,8 @@ def verify_table(table: CharacterTable) -> dict[str, int]:
 
 def default_cache_path(d: int, cache_dir: str | os.PathLike | None = None) -> Path | None:
     """Cache file for degree d, or None when persistence is disabled."""
+    from pathlib import Path  # here and below: the command line never caches
+
     base = cache_dir if cache_dir is not None else os.environ.get(CACHE_ENV)
     if not base:
         return None
@@ -206,7 +202,9 @@ def cache_store(table: CharacterTable, path: str | os.PathLike) -> None:
     The file is the header ``WGCT2 <d>``, one line per row and a
     ``sha256 <hex>`` line over everything before it.
     """
-    import hashlib  # here, not at the top: the command line never caches
+    import hashlib
+    import tempfile
+    from pathlib import Path
 
     path = Path(path)
     lines = [f"{CACHE_MAGIC} {table.degree}"]
@@ -234,6 +232,8 @@ def cache_load(d: int, path: str | os.PathLike) -> CharacterTable | None:
     The class order is ``lex_list(d)``, never read from the file.
     """
     import hashlib
+    import warnings
+    from pathlib import Path
 
     path = Path(path)
     try:
@@ -273,5 +273,7 @@ def load_or_build(d: int, *, jobs: int = 1,
         try:
             cache_store(table, path)
         except OSError as exc:
+            import warnings
+
             warnings.warn(f"not caching character table at {path}: {exc}")
     return table

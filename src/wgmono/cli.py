@@ -8,17 +8,16 @@ table that fails an exact identity, 2 on usage errors.
 Partitions are written "1,1,2" or "1^2,2" on input and always rendered
 in exponent form; rationals are "N/D" or "N" on input and always "N/D"
 reduced on output.  Nothing is read from or written to disk: eval and
-coeff compute the one character column they need, scan and selftest
-build their tables.  Each verb imports the modules it runs when it
-runs, so a request compiles only those.
+coeff compute the one character column they need, scan streams the
+kernel's class vectors without a table, and selftest builds its tables.
+Each verb imports the modules it runs when it runs, and ``json`` and
+``csv`` load only with the format that prints them, so a request
+compiles only those.
 """
 
 from __future__ import annotations
 
 import argparse
-import csv
-import io
-import json
 import sys
 
 from .errors import DomainError, TableVerificationError
@@ -88,6 +87,8 @@ def _cmd_eval(args) -> int:
     shown = normalized if args.normalized else value
     # the whole text first: formatting a huge value can fail
     if args.format == "json":
+        import json
+
         text = json.dumps({"alpha": str(alpha), "x": format_rat(x),
                            "value": format_rat(value),
                            "normalized": format_rat(normalized)}, indent=2)
@@ -108,6 +109,8 @@ def _cmd_coeff(args) -> int:
     count = series_coeff(alpha, args.r)
     # the whole text first: formatting a huge count can fail
     if args.format == "json":
+        import json
+
         text = json.dumps({"alpha": str(alpha), "r": args.r, "count": str(count)},
                           indent=2)
     elif args.format == "csv":
@@ -166,9 +169,14 @@ def _cmd_walks(args) -> int:
     counts = enumerate_counts(args.d, args.R)
     rows = sorted(counts.per_type.items())
     if args.format == "json":
+        import json
+
         doc = [{"type": str(t), "r": r, "count": str(c)} for (t, r), c in rows]
         print(json.dumps(doc, indent=2))
     else:
+        import csv
+        import io
+
         buf = io.StringIO()
         writer = csv.writer(buf, lineterminator="\n")
         writer.writerow(["type", "r", "count"])
@@ -194,6 +202,8 @@ def _cmd_family(args) -> int:
         raise DomainError("family needs --n, or both --alpha and --beta")
     # the whole text first: formatting a huge ratio can fail
     if args.format == "json":
+        import json
+
         text = json.dumps({"alpha": str(alpha), "beta": str(beta),
                            "ratio": format_rat(ratio)}, indent=2)
     elif args.format == "csv":

@@ -37,7 +37,7 @@ import re
 from fractions import Fraction
 from operator import mul
 
-from .characters import CharacterTable, _column_and_shapes
+from .characters import CharacterTable, _check_cap, _column_and_shapes
 from .errors import (CapExceededError, DegreeMismatchError, PoleError,
                      TableVerificationError)
 from .partitions import Partition, as_partition, cell_stats, dimension
@@ -161,14 +161,24 @@ def series_coeff(alpha, r: int, table: CharacterTable | None = None) -> int:
     with d!/H_lambda = f^lambda the sum is an integer over d!.  A sum that
     is not a non-negative multiple of d! can only come from a wrong table,
     and raises ``TableVerificationError`` (also under ``python -O``).
-    Without a table the one character column is computed.  r is capped at
-    ``MAX_R``.
+    r is capped at ``MAX_R``.
+
+    Without a table the one character column is computed, unless r is off
+    the support: a walk reaching alpha takes at least d - l(alpha) steps,
+    and each step flips the sign, so r below that or of the other parity
+    gives 0 with no column.  With a table the formula is always evaluated,
+    so its zeros stay checked.
     """
     if r < 0:
         raise ValueError(f"negative length {r}")
     if r > MAX_R:
         raise CapExceededError(f"r {r} beyond configured maximum {MAX_R}")
     a = as_partition(alpha)
+    if table is None:
+        _check_cap(a.degree)
+        gap = r - vanishing_order(a)
+        if gap < 0 or gap % 2:
+            return 0
     column, shapes = _column(a, table)
     total = 0
     for chi, lam in zip(column, shapes):

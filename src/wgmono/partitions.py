@@ -13,6 +13,7 @@ both accepted on input; ``str()`` renders the exponent form.
 from __future__ import annotations
 
 import re
+from bisect import bisect_right
 from collections import namedtuple
 from functools import lru_cache
 from math import factorial, prod
@@ -110,16 +111,16 @@ def lex_list(d: int) -> list[Partition]:
     if d < 1:
         raise PartitionError(f"degree must be >= 1, got {d}")
 
-    def gen(remaining: int, min_part: int):
-        if remaining == 0:
-            yield ()
-            return
-        for p in range(min_part, remaining + 1):
-            for rest in gen(remaining - p, p):
-                yield (p,) + rest
+    out = []
 
-    # gen yields only nondecreasing tuples of positive parts: no re-check
-    return [tuple.__new__(Partition, t) for t in gen(d, 1)]
+    def gen(prefix: tuple[int, ...], remaining: int, least: int) -> None:
+        for p in range(least, remaining // 2 + 1):
+            gen(prefix + (p,), remaining - p, p)
+        # the last part takes the rest; parts stay nondecreasing: no re-check
+        out.append(tuple.__new__(Partition, prefix + (remaining,)))
+
+    gen((), d, 1)
+    return out
 
 
 def lex_successor(alpha) -> Partition | None:
@@ -176,13 +177,14 @@ def cell_stats(lam) -> CellStats:
 @lru_cache(maxsize=None)
 def _cell_stats(p: Partition) -> CellStats:
     rows = p.rows
-    cols = conjugate(p).rows
+    k = len(p)
+    # cell (i, j) has hook (rows[i] - i - 1) + (height of column j - j)
+    down = [k - bisect_right(p, j) - j for j in range(rows[0])]
     hooks = []
     contents = []
     for i, r in enumerate(rows):
-        for j in range(r):
-            hooks.append((r - j) + (cols[j] - i) - 1)
-            contents.append(j - i)
+        hooks.extend(map((r - i - 1).__add__, down[:r]))
+        contents.extend(range(-i, r - i))
     return CellStats(tuple(sorted(hooks)), tuple(sorted(contents)))
 
 

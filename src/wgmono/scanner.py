@@ -7,47 +7,43 @@ successor), exact ties (reported separately, never folded into either
 side), and the maximal monotone runs between violations.
 
 Reports serialize to JSON and to CSV of (partition, normalized value);
-values are always exact "N/D" strings.
+values are always exact "N/D" strings.  The records are named tuples,
+so a record compares equal to the plain tuple of its fields.
 """
 
 from __future__ import annotations
 
-import csv
-import io
-import json
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 from operator import mul
 
-from .characters import CharacterTable, build_table
+from ._mnkernel_py import class_vectors
+from .characters import CharacterTable, _check_cap
 from .errors import DomainError
-from .genfun import format_rat, normalizer, table_weights
-from .partitions import Partition, as_partition
+from .genfun import _weights, format_rat, normalizer
+from .partitions import Partition, as_partition, lex_list
 
 
-@dataclass(frozen=True)
-class MValue:
-    alpha: Partition
-    value: Fraction
+class MValue(namedtuple("MValue", "alpha value")):
+    """One partition and its value at the scan point."""
+
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class Run:
-    start: Partition
-    end: Partition
-    length: int
+class Run(namedtuple("Run", "start end length")):
+    """A maximal monotone stretch from start to end, both included."""
+
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class ScanReport:
-    degree: int
-    x: Fraction
-    values: tuple[MValue, ...]
-    violations: tuple[Partition, ...]
-    ties: tuple[Partition, ...]
-    runs: tuple[Run, ...]
+class ScanReport(namedtuple("ScanReport", "degree x values violations ties runs")):
+    """Values at x of every partition of the degree, in lex order, classified."""
 
-    def to_json(self, intervals: tuple["IntervalStat", ...] = ()) -> str:
+    __slots__ = ()
+
+    def to_json(self, intervals: tuple[IntervalStat, ...] = ()) -> str:
+        import json
+
         norm = normalizer(self.degree)
         doc = {
             "degree": self.degree,
@@ -80,6 +76,9 @@ class ScanReport:
         return json.dumps(doc, indent=2)
 
     def to_csv(self) -> str:
+        import csv
+        import io
+
         norm = normalizer(self.degree)
         buf = io.StringIO()
         writer = csv.writer(buf, lineterminator="\n")
@@ -89,12 +88,10 @@ class ScanReport:
         return buf.getvalue()
 
 
-@dataclass(frozen=True)
-class IntervalStat:
-    low: Partition
-    high: Partition
-    cardinality: int
-    violations_inside: tuple[Partition, ...]
+class IntervalStat(namedtuple("IntervalStat", "low high cardinality violations_inside")):
+    """The half-open interval (low, high]: its size and the violations in it."""
+
+    __slots__ = ()
 
 
 def _classify(values: list[int]) -> tuple[list[int], list[int]]:
@@ -125,26 +122,34 @@ def scan(d: int, x: Fraction | None = None, *, table: CharacterTable | None = No
     """Evaluate every partition of d at x (default 1/d) and classify.
 
     Every value is one integer dot product against the common-denominator
-    weights of ``table_weights``; the sums are classified as integers
+    weights (those of ``table_weights``); the sums are classified as integers
     (the shared scale is positive) and become ``Fraction`` values only in
-    the report.  ``jobs`` is accepted and has no effect.
+    the report.  Without a table each class vector streams from the
+    kernel into its dot product and is dropped, so no table is built;
+    with one, its columns are read.  ``jobs`` is accepted and has no
+    effect.
     """
     if table is None:
-        table = build_table(d)
+        _check_cap(d)
+        order = tuple(lex_list(d))
+        columns = (vec for _, vec in class_vectors(order))
     elif table.degree != d:
         raise DomainError(f"table degree {table.degree} does not match d={d}")
+    else:
+        order = table.order
+        columns = zip(*table.values)
     x = Fraction(1, d) if x is None else Fraction(x)
 
-    scale, weights = table_weights(table, x)
-    sums = [sum(map(mul, column, weights)) for column in zip(*table.values)]
+    scale, weights = _weights(order, x)
+    sums = [sum(map(mul, column, weights)) for column in columns]
     violations, ties = _classify(sums)
     return ScanReport(
         degree=d,
         x=x,
-        values=tuple(MValue(a, scale * s) for a, s in zip(table.order, sums)),
-        violations=tuple(table.order[i] for i in violations),
-        ties=tuple(table.order[i] for i in ties),
-        runs=_runs(table.order, violations),
+        values=tuple(MValue(a, scale * s) for a, s in zip(order, sums)),
+        violations=tuple(order[i] for i in violations),
+        ties=tuple(order[i] for i in ties),
+        runs=_runs(order, violations),
     )
 
 

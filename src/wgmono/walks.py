@@ -25,7 +25,7 @@ not the cost.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from collections import namedtuple
 from operator import itemgetter
 
 from .errors import CapExceededError
@@ -52,12 +52,14 @@ def cycle_type(perm: tuple[int, ...]) -> Partition:
     return Partition(sorted(lens))
 
 
-@dataclass(frozen=True)
-class WalkCounts:
-    degree: int
-    max_length: int
-    per_permutation: dict[tuple[int, ...], tuple[int, ...]]  # counts by length
-    per_type: dict[tuple[Partition, int], int]
+class WalkCounts(namedtuple("WalkCounts", "degree max_length per_permutation per_type")):
+    """Monotone walk counts for lengths 0..max_length.
+
+    ``per_permutation`` maps each permutation to its counts by length;
+    ``per_type`` maps (cycle type, r) to the count of one representative.
+    """
+
+    __slots__ = ()
 
 
 def enumerate_counts(d: int, R: int) -> WalkCounts:

@@ -301,6 +301,23 @@ class TestKernelReference:
         assert _mnkernel_py.compute_columns(masks, alphas) == \
             reference_columns(masks, alphas)
 
+    @pytest.mark.parametrize("d", range(0, 13))
+    def test_lex_masks_follow_lex_list(self, d):
+        shapes = lex_list(d) if d else [()]
+        assert _mnkernel_py.lex_masks(d) == [_mnkernel_py.shape_mask(tuple(p)) for p in shapes]
+
+    @pytest.mark.parametrize("d", range(1, 13))
+    def test_class_vectors_in_lex_order(self, d):
+        masks, alphas = kernel_inputs(lex_list(d), lex_list(d))
+        got = list(_mnkernel_py.class_vectors(reversed(alphas)))
+        assert [alpha for alpha, _ in got] == alphas
+        assert [vec for _, vec in got] == reference_columns(masks, alphas)
+
+    @pytest.mark.parametrize("alpha", ["1,1,18", "20", "2,4,6,8", "2,4,6,7", "1^20"])
+    def test_column_skipping_levels_matches_table(self, alpha, tables):
+        a = Partition.parse(alpha)  # 2,4,6,7 is of degree 19, the rest of 20
+        assert character_column(a) == tables.get(a.degree).column(a)
+
     def test_random_subsets_shuffled(self):
         # compute_columns takes any lists: subsets, repeats, any order
         rng = random.Random(20261018)

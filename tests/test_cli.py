@@ -59,20 +59,21 @@ class TestCoeff:
 
 class TestScan:
     def test_bounds_capped_before_the_table(self, capsys, monkeypatch):
-        def no_table(d):
-            raise AssertionError("table built before the bounds were parsed")
+        # a table-free scan streams its class vectors from the kernel
+        def no_table(alphas):
+            raise AssertionError("characters computed before the bounds were parsed")
 
-        monkeypatch.setattr(scanner, "build_table", no_table)
+        monkeypatch.setattr(scanner, "class_vectors", no_table)
         code, out, err = run_cli(capsys, "scan", "--d", "20",
                                  "--low", "1^1000000", "--high", "20")
         assert (code, out) == (1, "")
         assert err == "error: degree 1000000 beyond configured maximum 20\n"
 
     def test_interval_rejected_with_csv_before_the_table(self, capsys, monkeypatch):
-        def no_table(d):
-            raise AssertionError("table built for a request csv cannot show")
+        def no_table(alphas):
+            raise AssertionError("characters computed for a request csv cannot show")
 
-        monkeypatch.setattr(scanner, "build_table", no_table)
+        monkeypatch.setattr(scanner, "class_vectors", no_table)
         code, out, err = run_cli(capsys, "scan", "--d", "3", "--low", "1^3",
                                  "--high", "3", "--format", "csv")
         assert (code, out) == (1, "")
@@ -152,7 +153,7 @@ def probe(code):
 
 # Modules a request that runs none of them must leave unloaded.
 UNUSED_BY_COLUMN = ("wgmono.scanner", "wgmono.walks", "wgmono.selftest",
-                    "dataclasses", "hashlib")
+                    "dataclasses", "inspect", "hashlib", "json", "csv")
 
 
 class TestStartup:
@@ -167,8 +168,10 @@ class TestStartup:
                      "'dataclasses' in sys.modules, 'hashlib' in sys.modules)") == \
             "['wgmono', 'wgmono.cli', 'wgmono.errors'] False False\n"
 
-    @pytest.mark.parametrize("argv", [["eval", "--alpha", "1^6,7", "--x", "1/13"],
-                                      ["coeff", "--alpha", "1^6,7", "--r", "20"]],
+    @pytest.mark.parametrize("argv", [["eval", "--alpha", "1^6,7", "--x", "1/13",
+                                       "--format", "text"],
+                                      ["coeff", "--alpha", "1^6,7", "--r", "20",
+                                       "--format", "text"]],
                              ids=["eval", "coeff"])
     def test_column_verbs_leave_the_rest_unloaded(self, argv):
         out = probe("import sys\n"
@@ -182,7 +185,16 @@ class TestStartup:
                     "from wgmono import cli\n"
                     "assert cli.main(['walks', '--d', '3', '--R', '1']) == 0\n"
                     "print([m for m in ('wgmono.characters', 'wgmono.genfun', "
-                    "'wgmono._mnkernel_py', 'fractions') if m in sys.modules])\n")
+                    "'wgmono._mnkernel_py', 'fractions', 'dataclasses', 'inspect') "
+                    "if m in sys.modules])\n")
+        assert out.splitlines()[-1] == "[]"
+
+    def test_scan_csv_leaves_the_records_machinery_unloaded(self):
+        out = probe("import sys\n"
+                    "from wgmono import cli\n"
+                    "assert cli.main(['scan', '--d', '5', '--format', 'csv']) == 0\n"
+                    "print([m for m in ('dataclasses', 'inspect', 'json', 'hashlib', "
+                    "'wgmono.walks', 'wgmono.selftest') if m in sys.modules])\n")
         assert out.splitlines()[-1] == "[]"
 
     def test_lazy_namespace(self):

@@ -10,6 +10,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, strategies as st
 
+from wgmono import genfun
 from wgmono.characters import CharacterTable
 from wgmono.errors import (CapExceededError, DegreeMismatchError, PoleError,
                            TableVerificationError)
@@ -152,14 +153,29 @@ class TestIntegerPath:
         for alpha in t.order:
             for x in self.points(d)[:4]:
                 assert eval_M(alpha, x) == eval_M(alpha, x, t)
-            for r in range(2 * d + 1):
-                assert series_coeff(alpha, r) == series_coeff(alpha, r, t)
+            # without a table an off-support r returns 0 before any column;
+            # with one the formula is evaluated, so the two meet here
+            for r in range(max(2 * d, 12) + 1):
+                assert series_coeff(alpha, r) == series_coeff(alpha, r, t), (alpha, r)
 
     def test_table_free_degree_cap(self):
         with pytest.raises(CapExceededError, match="^degree 21 beyond configured maximum 20$"):
             eval_M((21,), Fraction(1, 21))
+        # both lengths are off the support, but the degree cap comes first
         with pytest.raises(CapExceededError, match="^degree 21 beyond configured maximum 20$"):
             series_coeff((1, 20), 3)
+        with pytest.raises(CapExceededError, match="^degree 21 beyond configured maximum 20$"):
+            series_coeff((1,) * 21, 1)
+
+    def test_parity_shortcut_computes_no_column(self, monkeypatch):
+        def no_column(alpha):
+            raise AssertionError("column computed for an off-support length")
+
+        monkeypatch.setattr(genfun, "_column_and_shapes", no_column)
+        alpha = Partition.parse("1^6,7")  # d - l = 6
+        assert [series_coeff(alpha, r) for r in (0, 5, 7, 19)] == [0, 0, 0, 0]
+        with pytest.raises(AssertionError, match="column computed"):
+            series_coeff(alpha, 6)
 
     def test_table_free_enumerates_shapes_once(self, monkeypatch):
         calls = []

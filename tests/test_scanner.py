@@ -61,6 +61,13 @@ class TestScan:
             for mv in rep.values:
                 assert mv.value == eval_M(mv.alpha, rep.x, t)
 
+    @pytest.mark.parametrize("d", range(1, 15))
+    def test_table_free_equals_table(self, d, tables):
+        t = tables.get(d)
+        assert scan(d) == scan(d, table=t)
+        x = Fraction(2, 4 * d + 1)
+        assert scan(d, x) == scan(d, x, table=t)
+
     def test_custom_x(self, tables):
         rep = scan(5, Fraction(1, 50), table=tables.get(5))
         assert rep.x == Fraction(1, 50)
