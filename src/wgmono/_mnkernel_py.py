@@ -128,7 +128,8 @@ def compute_columns(masks: list[int], alphas: list[tuple[int, ...]]) -> list[lis
     Every mask must be a shape of its alpha's degree.  Any lists work,
     in any order, with repeats; classes given in stored (nondecreasing)
     form share the most work.  Masks in ``lex_masks(d)`` order take the
-    vectors as they are; any other order is gathered entry by entry.
+    vectors as they are; any other order is gathered entry by entry.  Its
+    callers are the benchmark's kernel probe and the tests.
     """
     alphas = [tuple(a) for a in alphas]
     if not alphas:

@@ -2,9 +2,9 @@
 
 A :class:`CharacterTable` holds the complete integer table for one
 degree, rows and columns both indexed by the lex-ordered partition list.
-Construction runs the column DP of ``_mnkernel_py``, which adds the
-parts of each class partition as border strips to the empty shape, so
-classes that share their smaller parts share that work.
+Every column the package reads comes through ``class_columns``: from a
+table, or from the column DP of ``_mnkernel_py``, which adds the parts of
+each class as border strips to the empty shape.
 
 Tables persist to a versioned, checksummed text file of rows only (the
 class order is always ``lex_list(d)``); ``WG_CACHE_DIR`` selects the
@@ -21,8 +21,8 @@ from math import prod
 from operator import mul
 
 from . import _mnkernel_py
-from .errors import CapExceededError, TableVerificationError
-from .partitions import Partition, as_partition, conjugate, dimension, lex_list
+from .errors import CapExceededError, DegreeMismatchError, TableVerificationError
+from .partitions import as_partition, conjugate, dimension, lex_list
 
 MAX_DEGREE = 20
 CACHE_MAGIC = "WGCT2"
@@ -82,15 +82,35 @@ def character_column(alpha) -> tuple[int, ...]:
     >>> character_column((3,))  # shapes 1^3, 1,2 and 3
     (1, -1, 1)
     """
-    return _column_and_shapes(alpha)[0]
+    return tuple(next(class_columns(sum(alpha), (alpha,))[1]))
 
 
-def _column_and_shapes(alpha) -> tuple[tuple[int, ...], list[Partition]]:
-    """The character column of alpha and the ``lex_list(d)`` it runs over."""
-    _check_cap(sum(alpha))
-    a = as_partition(alpha)
-    column = _mnkernel_py.compute_columns(_mnkernel_py.lex_masks(a.degree), [tuple(a)])[0]
-    return tuple(column), lex_list(a.degree)
+def class_columns(d: int, classes=None, table: CharacterTable | None = None):
+    """``(shapes, columns)``: ``lex_list(d)`` or the table's order, and one
+    column chi(lam, class) over those shapes per class of ``classes``.
+
+    ``classes`` defaults to every class of d; without a table they must be
+    distinct and in lex order.  The call checks the degree cap, or the
+    table's degree, and nothing more: columns, and shapes for given
+    classes, are computed when read.
+    """
+    if table is not None:
+        if table.degree != d:
+            raise DegreeMismatchError(f"degree {d} against table of degree {table.degree}")
+        if classes is None:
+            return table.order, zip(*table.values)
+        return table.order, map(table.column, classes)
+    _check_cap(d)
+    if classes is None:
+        shapes = classes = lex_list(d)
+    else:
+        shapes, classes = _deferred(lex_list, d), map(as_partition, classes)
+    return shapes, (vec for _, vec in _deferred(_mnkernel_py.class_vectors, classes))
+
+
+def _deferred(source, arg):
+    """Iterate over ``source(arg)``, calling it only when first read."""
+    yield from source(arg)
 
 
 def _check_cap(d: int) -> None:
@@ -105,9 +125,7 @@ def build_table(d: int, *, jobs: int = 1) -> CharacterTable:
 
     The build runs in one process; ``jobs`` is accepted and has no effect.
     """
-    _check_cap(d)
-    cols = [vec for _, vec in _mnkernel_py.class_vectors(lex_list(d))]
-    return CharacterTable(d, tuple(zip(*cols)))
+    return CharacterTable(d, tuple(zip(*class_columns(d)[1])))
 
 
 def _det_mod(m: list[list[int]]) -> int:

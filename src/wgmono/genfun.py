@@ -36,11 +36,14 @@ import math
 import re
 from fractions import Fraction
 from operator import mul
+from typing import TYPE_CHECKING
 
-from .characters import CharacterTable, _check_cap, _column_and_shapes
 from .errors import (CapExceededError, DegreeMismatchError, PoleError,
                      TableVerificationError)
 from .partitions import Partition, as_partition, cell_stats, dimension
+
+if TYPE_CHECKING:
+    from .characters import CharacterTable
 
 _RAT_RE = re.compile(r"^([+-]?\d+)(?:/(\d+))?$")
 
@@ -68,22 +71,12 @@ def catalan(n: int) -> int:
     return math.comb(2 * n, n) // (n + 1)
 
 
-def _column(a: Partition, table: CharacterTable | None):
-    """The class's character column and its shapes, from the table or computed."""
-    if table is None:
-        return _column_and_shapes(a)
-    if a.degree != table.degree:
-        raise DegreeMismatchError(
-            f"partition of {a.degree} against table of degree {table.degree}")
-    return table.column(a), table.order
-
-
 def normalizer(d: int) -> Fraction:
     """Rescale factor (d!)^2 / d^d for values at x = 1/d."""
     return Fraction(math.factorial(d) ** 2, d ** d)
 
 
-def _weights(shapes, x) -> tuple[Fraction, list[int]]:
+def _weights(d: int, shapes, x) -> tuple[Fraction, list[int]]:
     """Scale q^d / L and integer weights L / D_lambda over the shapes of degree d."""
     x = Fraction(x)
     p, q = x.numerator, x.denominator
@@ -98,7 +91,7 @@ def _weights(shapes, x) -> tuple[Fraction, list[int]]:
             denom *= factor
         denoms.append(denom)
     lcm = math.lcm(*denoms)
-    return Fraction(q ** shapes[0].degree, lcm), [lcm // denom for denom in denoms]
+    return Fraction(q ** d, lcm), [lcm // denom for denom in denoms]
 
 
 def table_weights(table: CharacterTable, x: Fraction) -> tuple[Fraction, list[int]]:
@@ -108,20 +101,24 @@ def table_weights(table: CharacterTable, x: Fraction) -> tuple[Fraction, list[in
     The scale is positive, so comparing weighted integer sums compares
     the values they stand for.
     """
-    return _weights(table.order, x)
+    return _weights(table.degree, table.order, x)
 
 
 def eval_M(alpha, x, table: CharacterTable | None = None) -> Fraction:
     """Exact value of the walk generating function at rational x.
 
-    Without a table the one character column is computed.
+    The column comes from ``characters.class_columns``, computed only
+    after the weights, so a pole is reported before any character.
 
     >>> eval_M((2,), Fraction(1, 2))
     Fraction(2, 3)
     """
-    column, shapes = _column(as_partition(alpha), table)
-    scale, weights = _weights(shapes, x)
-    return scale * sum(map(mul, column, weights))
+    from .characters import class_columns
+
+    a = as_partition(alpha)
+    shapes, columns = class_columns(a.degree, (a,), table)
+    scale, weights = _weights(a.degree, shapes, x)
+    return scale * sum(map(mul, next(columns), weights))
 
 
 def normalized_value(alpha, table: CharacterTable) -> Fraction:
@@ -163,25 +160,26 @@ def series_coeff(alpha, r: int, table: CharacterTable | None = None) -> int:
     and raises ``TableVerificationError`` (also under ``python -O``).
     r is capped at ``MAX_R``.
 
-    Without a table the one character column is computed, unless r is off
-    the support: a walk reaching alpha takes at least d - l(alpha) steps,
-    and each step flips the sign, so r below that or of the other parity
-    gives 0 with no column.  With a table the formula is always evaluated,
-    so its zeros stay checked.
+    The column comes from ``characters.class_columns``.  Without a table
+    it is computed only when r is on the support: a walk reaching alpha
+    takes at least d - l(alpha) steps, and each step flips the sign, so r
+    below that or of the other parity gives 0 with no column and no shape
+    list.  With a table the formula is always evaluated, so its zeros stay
+    checked.
     """
     if r < 0:
         raise ValueError(f"negative length {r}")
     if r > MAX_R:
         raise CapExceededError(f"r {r} beyond configured maximum {MAX_R}")
+    from .characters import class_columns
+
     a = as_partition(alpha)
-    if table is None:
-        _check_cap(a.degree)
-        gap = r - vanishing_order(a)
-        if gap < 0 or gap % 2:
-            return 0
-    column, shapes = _column(a, table)
+    shapes, columns = class_columns(a.degree, (a,), table)
+    gap = r - vanishing_order(a)
+    if table is None and (gap < 0 or gap % 2):
+        return 0
     total = 0
-    for chi, lam in zip(column, shapes):
+    for chi, lam in zip(next(columns), shapes):
         if chi:
             h_r = complete_homogeneous(cell_stats(lam).contents, r)
             total += chi * dimension(lam) * h_r
@@ -202,10 +200,7 @@ def vanishing_order(alpha) -> int:
 
 def m0_catalan(alpha) -> int:
     """Bottom series coefficient as a product of Catalan numbers."""
-    prod = 1
-    for p in as_partition(alpha):
-        prod *= catalan(p - 1)
-    return prod
+    return math.prod(catalan(p - 1) for p in as_partition(alpha))
 
 
 def leading_ratio(alpha, beta) -> Fraction:

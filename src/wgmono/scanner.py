@@ -17,11 +17,10 @@ from collections import namedtuple
 from fractions import Fraction
 from operator import mul
 
-from ._mnkernel_py import class_vectors
-from .characters import CharacterTable, _check_cap
+from .characters import CharacterTable, class_columns
 from .errors import DomainError
 from .genfun import _weights, format_rat, normalizer
-from .partitions import Partition, as_partition, lex_list
+from .partitions import Partition, as_partition
 
 
 class MValue(namedtuple("MValue", "alpha value")):
@@ -96,14 +95,8 @@ class IntervalStat(namedtuple("IntervalStat", "low high cardinality violations_i
 
 def _classify(values: list[int]) -> tuple[list[int], list[int]]:
     """Indices of violations (value < next) and ties (value == next)."""
-    violations = []
-    ties = []
-    for i in range(len(values) - 1):
-        if values[i] < values[i + 1]:
-            violations.append(i)
-        elif values[i] == values[i + 1]:
-            ties.append(i)
-    return violations, ties
+    steps = list(enumerate(zip(values, values[1:])))
+    return [i for i, (a, b) in steps if a < b], [i for i, (a, b) in steps if a == b]
 
 
 def _runs(order: tuple[Partition, ...], violations: list[int]) -> tuple[Run, ...]:
@@ -124,23 +117,15 @@ def scan(d: int, x: Fraction | None = None, *, table: CharacterTable | None = No
     Every value is one integer dot product against the common-denominator
     weights (those of ``table_weights``); the sums are classified as integers
     (the shared scale is positive) and become ``Fraction`` values only in
-    the report.  Without a table each class vector streams from the
-    kernel into its dot product and is dropped, so no table is built;
-    with one, its columns are read.  ``jobs`` is accepted and has no
+    the report.  The columns come from ``characters.class_columns``:
+    without a table each streams from the kernel into its dot product and
+    is dropped, so no table is built.  ``jobs`` is accepted and has no
     effect.
     """
-    if table is None:
-        _check_cap(d)
-        order = tuple(lex_list(d))
-        columns = (vec for _, vec in class_vectors(order))
-    elif table.degree != d:
-        raise DomainError(f"table degree {table.degree} does not match d={d}")
-    else:
-        order = table.order
-        columns = zip(*table.values)
+    order, columns = class_columns(d, table=table)
     x = Fraction(1, d) if x is None else Fraction(x)
 
-    scale, weights = _weights(order, x)
+    scale, weights = _weights(d, order, x)
     sums = [sum(map(mul, column, weights)) for column in columns]
     violations, ties = _classify(sums)
     return ScanReport(

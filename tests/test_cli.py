@@ -7,7 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from wgmono import cli, scanner, selftest
+from wgmono import _mnkernel_py, cli, selftest
 from wgmono.characters import (CharacterTable, build_table, cache_load, cache_store,
                                default_cache_path)
 from wgmono.partitions import Partition
@@ -31,12 +31,13 @@ class TestCoeff:
              "import sys\n"
              "from wgmono import _mnkernel_py, cli\n"
              "from wgmono.partitions import Partition, lex_list\n"
-             "true_columns = _mnkernel_py.compute_columns\n"
-             "def wrong_columns(masks, alphas):\n"
-             "    columns = true_columns(masks, alphas)\n"
-             "    columns[0][lex_list(8).index(Partition.parse('1^5,3'))] += 1\n"
-             "    return columns\n"
-             "_mnkernel_py.compute_columns = wrong_columns\n"
+             "true_vectors = _mnkernel_py.class_vectors\n"
+             "def wrong_vectors(alphas):\n"
+             "    for alpha, vec in true_vectors(alphas):\n"
+             "        vec = list(vec)\n"
+             "        vec[lex_list(8).index(Partition.parse('1^5,3'))] += 1\n"
+             "        yield alpha, vec\n"
+             "_mnkernel_py.class_vectors = wrong_vectors\n"
              "sys.exit(cli.main(['coeff', '--alpha', '1^4,2^2', '--r', '4']))\n"],
             env=dict(os.environ, PYTHONPATH=src), capture_output=True, text=True)
         assert run.returncode == 1
@@ -59,11 +60,11 @@ class TestCoeff:
 
 class TestScan:
     def test_bounds_capped_before_the_table(self, capsys, monkeypatch):
-        # a table-free scan streams its class vectors from the kernel
+        # a table-free scan streams its class vectors from the kernel seam
         def no_table(alphas):
             raise AssertionError("characters computed before the bounds were parsed")
 
-        monkeypatch.setattr(scanner, "class_vectors", no_table)
+        monkeypatch.setattr(_mnkernel_py, "class_vectors", no_table)
         code, out, err = run_cli(capsys, "scan", "--d", "20",
                                  "--low", "1^1000000", "--high", "20")
         assert (code, out) == (1, "")
@@ -73,7 +74,7 @@ class TestScan:
         def no_table(alphas):
             raise AssertionError("characters computed for a request csv cannot show")
 
-        monkeypatch.setattr(scanner, "class_vectors", no_table)
+        monkeypatch.setattr(_mnkernel_py, "class_vectors", no_table)
         code, out, err = run_cli(capsys, "scan", "--d", "3", "--low", "1^3",
                                  "--high", "3", "--format", "csv")
         assert (code, out) == (1, "")
@@ -186,6 +187,15 @@ class TestStartup:
                     "assert cli.main(['walks', '--d', '3', '--R', '1']) == 0\n"
                     "print([m for m in ('wgmono.characters', 'wgmono.genfun', "
                     "'wgmono._mnkernel_py', 'fractions', 'dataclasses', 'inspect') "
+                    "if m in sys.modules])\n")
+        assert out.splitlines()[-1] == "[]"
+
+    def test_family_verb_leaves_the_characters_unloaded(self):
+        out = probe("import sys\n"
+                    "import wgmono.genfun\n"
+                    "from wgmono import cli\n"
+                    "assert cli.main(['family', '--n', '5']) == 0\n"
+                    "print([m for m in ('wgmono.characters', 'wgmono._mnkernel_py') "
                     "if m in sys.modules])\n")
         assert out.splitlines()[-1] == "[]"
 

@@ -10,7 +10,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, strategies as st
 
-from wgmono import genfun
+from wgmono import _mnkernel_py
 from wgmono.characters import CharacterTable
 from wgmono.errors import (CapExceededError, DegreeMismatchError, PoleError,
                            TableVerificationError)
@@ -82,8 +82,14 @@ class TestEvalM:
             eval_M((1, 2), Fraction(-1, 1), t)
 
     def test_degree_mismatch(self, tables):
-        with pytest.raises(DegreeMismatchError):
-            eval_M((1, 2), Fraction(1, 5), tables.get(4))
+        # one table-degree check, in characters.class_columns, for all three
+        for call in (lambda: eval_M((1, 2), Fraction(1, 5), tables.get(4)),
+                     lambda: series_coeff((1, 2), 2, tables.get(4)),
+                     lambda: scan(3, table=tables.get(4)),
+                     lambda: scan(5, table=tables.get(6))):
+            with pytest.raises(DegreeMismatchError,
+                               match=r"^degree \d against table of degree \d$"):
+                call()
 
     @pytest.mark.parametrize("d", range(2, 8))
     def test_positive_inside_domain(self, d, tables):
@@ -117,6 +123,16 @@ def fraction_eval(alpha, x, table):
         if chi:
             total += chi * w
     return total
+
+
+def count_lex_list(monkeypatch):
+    """Record the degree of every ``lex_list`` call made from a loaded package module."""
+    calls = []
+    for name, module in list(sys.modules.items()):
+        if name.startswith("wgmono.") and hasattr(module, "lex_list"):
+            monkeypatch.setattr(module, "lex_list",
+                                lambda d, f=module.lex_list: calls.append(d) or f(d))
+    return calls
 
 
 class TestIntegerPath:
@@ -168,21 +184,19 @@ class TestIntegerPath:
             series_coeff((1,) * 21, 1)
 
     def test_parity_shortcut_computes_no_column(self, monkeypatch):
-        def no_column(alpha):
+        def no_column(alphas):
             raise AssertionError("column computed for an off-support length")
 
-        monkeypatch.setattr(genfun, "_column_and_shapes", no_column)
+        calls = count_lex_list(monkeypatch)
+        monkeypatch.setattr(_mnkernel_py, "class_vectors", no_column)
         alpha = Partition.parse("1^6,7")  # d - l = 6
         assert [series_coeff(alpha, r) for r in (0, 5, 7, 19)] == [0, 0, 0, 0]
+        assert calls == []
         with pytest.raises(AssertionError, match="column computed"):
             series_coeff(alpha, 6)
 
     def test_table_free_enumerates_shapes_once(self, monkeypatch):
-        calls = []
-        for name, module in list(sys.modules.items()):
-            if name.startswith("wgmono.") and hasattr(module, "lex_list"):
-                monkeypatch.setattr(module, "lex_list",
-                                    lambda d, f=module.lex_list: calls.append(d) or f(d))
+        calls = count_lex_list(monkeypatch)
         alpha = Partition.parse("1^6,7")
         assert eval_M(alpha, Fraction(1, 13)) * normalizer(13) == \
             Fraction(30132115571, 1149266300)

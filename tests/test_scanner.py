@@ -75,10 +75,6 @@ class TestScan:
         for mv in rep.values:
             assert mv.value == eval_M(mv.alpha, Fraction(1, 50), t)
 
-    def test_table_degree_checked(self, tables):
-        with pytest.raises(DomainError):
-            scan(5, table=tables.get(6))
-
     def test_poisoned_cache_never_reaches_scan(self, tmp_path, monkeypatch):
         # Rows 1^6,2 and 1,7 swapped under a valid checksum: trusted, the
         # file scans 5 violations at d = 8 instead of 0.
