@@ -7,7 +7,7 @@ import pytest
 
 from wgmono.characters import (CharacterTable, build_table, cache_load, cache_store,
                                default_cache_path)
-from wgmono.errors import DomainError
+from wgmono.errors import DegreeMismatchError, DomainError
 from wgmono.genfun import eval_M, normalized_value
 from wgmono.partitions import Partition, lex_list
 from wgmono.scanner import (
@@ -74,6 +74,11 @@ class TestScan:
         t = tables.get(5)
         for mv in rep.values:
             assert mv.value == eval_M(mv.alpha, Fraction(1, 50), t)
+
+    def test_table_degree_checked(self, tables):
+        with pytest.raises(DegreeMismatchError,
+                           match=r"^degree 5 against table of degree 6$"):
+            scan(5, table=tables.get(6))
 
     def test_poisoned_cache_never_reaches_scan(self, tmp_path, monkeypatch):
         # Rows 1^6,2 and 1,7 swapped under a valid checksum: trusted, the
