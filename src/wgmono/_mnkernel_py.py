@@ -125,18 +125,13 @@ def class_vectors(alphas):
 def compute_columns(masks: list[int], alphas: list[tuple[int, ...]]) -> list[list[int]]:
     """Character values column by column: result[j][i] = chi(masks[i], alphas[j]).
 
-    Every mask must be a shape of its alpha's degree.  Any lists work,
-    in any order, with repeats; classes given in stored (nondecreasing)
-    form share the most work.  Masks in ``lex_masks(d)`` order take the
-    vectors as they are; any other order is gathered entry by entry.  Its
+    ``masks`` must be ``lex_masks(d)`` and every class of degree d, else
+    ``ValueError``.  The classes may come in any order, with repeats;
+    given in stored (nondecreasing) form they share the most work.  Its
     callers are the benchmark's kernel probe and the tests.
     """
     alphas = [tuple(a) for a in alphas]
-    if not alphas:
-        return []
+    if any(masks != lex_masks(n) for n in {sum(a) for a in alphas}):
+        raise ValueError("masks must be lex_masks(d) for the classes' degree d")
     vectors = dict(class_vectors(alphas))
-    lex = lex_masks(sum(alphas[0]))
-    if masks == lex:
-        return [list(vectors[a]) for a in alphas]
-    at = {m: i for i, m in enumerate(lex)}
-    return [[vec[at[m]] for m in masks] for vec in map(vectors.__getitem__, alphas)]
+    return [list(vectors[a]) for a in alphas]

@@ -1,20 +1,12 @@
+import functools
+import types
+
 import pytest
 
 from wgmono.characters import build_table
 
 
-class TableStore:
-    """Session-wide character tables, built once per degree."""
-
-    def __init__(self):
-        self._tables = {}
-
-    def get(self, d):
-        if d not in self._tables:
-            self._tables[d] = build_table(d)
-        return self._tables[d]
-
-
 @pytest.fixture(scope="session")
 def tables():
-    return TableStore()
+    """Session-wide character tables, built once per degree: ``tables.get(d)``."""
+    return types.SimpleNamespace(get=functools.cache(build_table))

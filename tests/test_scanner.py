@@ -48,19 +48,6 @@ class TestScan:
         vals = [mv.value for mv in rep.values]
         assert all(a > b for a, b in zip(vals, vals[1:]))
 
-    @pytest.mark.parametrize("d", range(1, 9))
-    def test_no_violations_below_13(self, d, tables):
-        rep = scan(d, table=tables.get(d))
-        assert rep.violations == () and rep.ties == ()
-        assert sum(r.length for r in rep.runs) == len(rep.values)
-
-    def test_values_match_eval(self, tables):
-        for d in (3, 5, 6):
-            rep = scan(d, table=tables.get(d))
-            t = tables.get(d)
-            for mv in rep.values:
-                assert mv.value == eval_M(mv.alpha, rep.x, t)
-
     @pytest.mark.parametrize("d", range(1, 15))
     def test_table_free_equals_table(self, d, tables):
         t = tables.get(d)
