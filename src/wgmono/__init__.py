@@ -22,7 +22,7 @@ _EXPORTS = {
     "characters": ("CharacterTable", "build_table", "character_column",
                    "verify_table"),
     "genfun": ("catalan", "complete_homogeneous", "counterexample_family", "eval_M",
-               "format_rat", "leading_ratio", "m0_catalan", "normalized_value",
+               "format_rat", "leading_ratio", "m0_catalan", "normalizer",
                "parse_rat", "series_coeff", "vanishing_order"),
     "walks": ("WalkCounts", "class_function_check", "enumerate_counts"),
     "scanner": ("IntervalStat", "MValue", "Run", "ScanReport", "interval_stat",

@@ -7,9 +7,11 @@ table that fails an exact identity, 2 on usage errors.
 
 Partitions are written "1,1,2" or "1^2,2" on input and always rendered
 in exponent form; rationals are "N/D" or "N" on input and always "N/D"
-reduced on output.  Nothing is read from or written to disk: eval and
-coeff compute the one character column they need, scan streams the
-kernel's class vectors without a table, and selftest builds its tables.
+reduced on output; every number is written in ASCII digits.  Nothing
+is read from or written to disk: eval and coeff compute the one
+character column they need, scan streams the kernel's class vectors
+without a table, and selftest builds tables only in its two table
+checks.
 Each verb imports the modules it runs when it runs, and ``json`` and
 ``csv`` load only with the format that prints them, so a request
 compiles only those.
@@ -18,6 +20,7 @@ compiles only those.
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 
 from .errors import DomainError, TableVerificationError
@@ -28,6 +31,8 @@ LEVELS = ("quick", "standard", "extended")
 
 
 def build_parser() -> argparse.ArgumentParser:
+    from .partitions import parse_int
+
     parser = argparse.ArgumentParser(
         prog="wgmono",
         description="Exact monotone-walk generating functions and monotonicity scans.")
@@ -45,23 +50,23 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("coeff", help="series coefficient: r-step walk count")
     p.add_argument("--alpha", required=True)
-    p.add_argument("--r", type=int, required=True)
+    p.add_argument("--r", type=parse_int, required=True)
     formats(p)
 
     p = sub.add_parser("scan", help="scan all partitions of a degree")
-    p.add_argument("--d", type=int, required=True)
+    p.add_argument("--d", type=parse_int, required=True)
     p.add_argument("--x", default=None)
     p.add_argument("--low", default=None, help="interval query: open lower bound")
     p.add_argument("--high", default=None, help="interval query: closed upper bound")
     formats(p)
 
     p = sub.add_parser("walks", help="brute-force monotone walk counts")
-    p.add_argument("--d", type=int, required=True)
-    p.add_argument("--R", type=int, required=True)
+    p.add_argument("--d", type=parse_int, required=True)
+    p.add_argument("--R", type=parse_int, required=True)
     formats(p)
 
     p = sub.add_parser("family", help="equal-length pair with growing small-x ratio")
-    p.add_argument("--n", type=int, default=None)
+    p.add_argument("--n", type=parse_int, default=None)
     p.add_argument("--alpha", default=None, help="custom pair: first partition")
     p.add_argument("--beta", default=None, help="custom pair: second partition")
     formats(p)
@@ -132,7 +137,7 @@ def _cmd_scan(args) -> int:
     if args.low is not None or args.high is not None:
         if args.low is None or args.high is None:
             raise DomainError("--low and --high must be given together")
-        # both bounds before the table: a bound's degree is capped like --d
+        # both bounds before any character: a bound's degree is capped like --d
         bounds = (Partition.parse(args.low, MAX_DEGREE),
                   Partition.parse(args.high, MAX_DEGREE))
         if args.format == "csv":
@@ -233,10 +238,17 @@ _COMMANDS = {
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return _COMMANDS[args.verb](args)
+        code = _COMMANDS[args.verb](args)
+        sys.stdout.flush()  # a reader that closed the pipe shows here, not at exit
+    except BrokenPipeError:
+        # Python's recipe: stdout goes to devnull, so the flush at exit cannot fail
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        print("error: output closed before it was all written", file=sys.stderr)
+        return 1
     except (TableVerificationError, ZeroDivisionError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    return code
 
 
 if __name__ == "__main__":

@@ -21,9 +21,8 @@ the D_lambda
 weights L / D_lambda once per point; a value is then one integer dot
 product, and a ``Fraction`` appears only for the final result.
 
-``normalized_value`` rescales the value at the distinguished point
-x = 1/d by ``normalizer(d)`` = (d!)^2 / d^d, which turns the walk series
-into the compact fractions the scanner reports.
+``normalizer(d)`` = (d!)^2 / d^d rescales the value at the distinguished
+point x = 1/d into the compact fractions the scanner reports.
 
 Text form: rationals are ``"N/D"`` in lowest terms with ``D > 0``
 (``format_rat`` always prints the denominator, so the integer one
@@ -40,17 +39,17 @@ from typing import TYPE_CHECKING
 
 from .errors import (CapExceededError, DegreeMismatchError, PoleError,
                      TableVerificationError)
-from .partitions import Partition, as_partition, cell_stats, dimension
+from .partitions import DIGITS, INTEGER, Partition, as_partition, cell_stats, dimension
 
 if TYPE_CHECKING:
     from .characters import CharacterTable
 
-_RAT_RE = re.compile(r"^([+-]?\d+)(?:/(\d+))?$")
+_RAT_RE = re.compile(f"({INTEGER})(?:/({DIGITS}))?")
 
 
 def parse_rat(text: str) -> Fraction:
     """Parse "N/D" or integer "N"; anything else (floats included) is rejected."""
-    m = _RAT_RE.match(text.strip())
+    m = _RAT_RE.fullmatch(text.strip())
     if m is None:
         raise ValueError(f"not a rational: {text!r} (expected N or N/D)")
     num = int(m.group(1))
@@ -119,12 +118,6 @@ def eval_M(alpha, x, table: CharacterTable | None = None) -> Fraction:
     shapes, columns = class_columns(a.degree, (a,), table)
     scale, weights = _weights(a.degree, shapes, x)
     return scale * sum(map(mul, next(columns), weights))
-
-
-def normalized_value(alpha, table: CharacterTable) -> Fraction:
-    """Value at x = 1/d rescaled by (d!)^2 / d^d."""
-    d = table.degree
-    return eval_M(alpha, Fraction(1, d), table) * normalizer(d)
 
 
 def complete_homogeneous(values, r: int) -> int:

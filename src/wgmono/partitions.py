@@ -20,7 +20,19 @@ from math import factorial, prod
 
 from .errors import CapExceededError, PartitionError
 
-_PART_RE = re.compile(r"^(\d+)(?:\^(\d+))?$")
+# The one grammar of a written number: ASCII digits.  ``\d`` and ``int()``
+# also take the digits of other scripts, and ``int()`` takes underscores.
+DIGITS = "[0-9]+"
+INTEGER = f"[+-]?{DIGITS}"
+_INT_RE = re.compile(INTEGER)
+_PART_RE = re.compile(f"({DIGITS})(?:\\^({DIGITS}))?")
+
+
+def parse_int(text: str) -> int:
+    """An integer written in ASCII digits, with an optional sign."""
+    if _INT_RE.fullmatch(text.strip()) is None:
+        raise ValueError(f"not an integer: {text!r}")
+    return int(text)
 
 # The largest degree any entry point accepts: the largest built-in family
 # pair, 3 * genfun.FAMILY_MAX_N + 1.  ``Partition.parse`` checks it by default.
@@ -74,7 +86,7 @@ class Partition(tuple):
         """
         pairs: list[tuple[int, int]] = []
         for chunk in text.split(","):
-            m = _PART_RE.match(chunk.strip())
+            m = _PART_RE.fullmatch(chunk.strip())
             if m is None:
                 raise PartitionError(f"bad partition syntax: {text!r}")
             p = int(m.group(1))

@@ -2,28 +2,31 @@
 
 ``CHECKS`` is the one catalogue of the package's exact checks and the
 one home of the paper's regression values.  Each entry is
-``(level, name, check)``; ``check(table)`` takes a function returning
-the degree-d character table and raises ``AssertionError`` on the first
-mismatch.  Three nested levels: quick covers the exact identities up to
-degree 8, standard adds the degree-13 regression values and the walk
-oracle through degree 6, extended adds the scans through degree 20 and
-widens the identities to degree 12.  Checks run in order and the first
-failure stops the run with a nonzero status.
+``(level, name, check)``; ``check()`` calls what the command line calls
+(no table) and raises ``AssertionError`` on the first mismatch.  Only
+``tables_verify`` and ``series_parity`` build tables: the first
+certifies ``build_table``, and only ``series_coeff`` given a table
+evaluates the formula off the support.  Three nested levels: quick
+covers the exact identities up to degree 8, standard adds the degree-13
+regression values and the walk oracle through degree 6, extended adds
+the scans through degree 20 and widens the identities to degree 12.
+Checks run in order and the first failure stops the run with a nonzero
+status.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import lru_cache, partial
+from functools import partial
 from math import factorial
 
-from .characters import build_table, verify_table
+from .characters import build_table, class_columns, verify_table
 from .cli import LEVELS
 from .genfun import (
     counterexample_family,
     eval_M,
     m0_catalan,
-    normalized_value,
+    normalizer,
     series_coeff,
     vanishing_order,
 )
@@ -62,21 +65,21 @@ def _require(cond: bool, detail: str) -> None:
         raise AssertionError(detail)
 
 
-def lex_order_d6(table):
+def lex_order_d6():
     got = [str(p) for p in lex_list(6)]
     _require(got == _LEX6, f"lex_list(6) = {got}")
 
 
-def partition_counts(table):
+def partition_counts():
     for d, n in _PARTITION_COUNTS.items():
         _require(len(lex_list(d)) == n, f"p({d}) != {n}")
 
 
-def partition_count_d20(table):
+def partition_count_d20():
     _require(len(lex_list(20)) == _P20, f"p(20) != {_P20}")
 
 
-def successor_chain_d7(table):
+def successor_chain_d7():
     p = Partition((1,) * 7)
     seen = [p]
     while (p := lex_successor(p)) is not None:
@@ -84,39 +87,40 @@ def successor_chain_d7(table):
     _require(seen == lex_list(7), "successor chain disagrees with lex_list(7)")
 
 
-def conjugate_involution(table):
+def conjugate_involution():
     for d in range(1, 9):
         for p in lex_list(d):
             _require(conjugate(conjugate(p)) == p, f"conjugate not involutive at {p}")
 
 
-def class_sizes_sum(table):
+def class_sizes_sum():
     for d in range(1, 9):
         total = sum(class_size(p) for p in lex_list(d))
         _require(total == factorial(d), f"class sizes of degree {d} sum to {total}")
 
 
-def tables_verify(table, degrees):
+def tables_verify(degrees):
     for d in degrees:
-        verify_table(table(d))
+        verify_table(build_table(d))
 
 
-def conjugate_sign_symmetry(table, degrees):
+def conjugate_sign_symmetry(degrees):
     for d in degrees:
-        t = table(d)
-        for lam in t.order:
-            for alpha in t.order:
-                sign = -1 if (d - alpha.length) % 2 else 1
-                _require(t.chi(lam, alpha) == sign * t.chi(conjugate(lam), alpha),
+        shapes, columns = class_columns(d)
+        pos = {lam: i for i, lam in enumerate(shapes)}
+        flip = [pos[conjugate(lam)] for lam in shapes]
+        for alpha, column in zip(shapes, columns):
+            sign = -1 if (d - alpha.length) % 2 else 1
+            for lam, chi, i in zip(shapes, column, flip):
+                _require(chi == sign * column[i],
                          f"conjugate symmetry fails at {lam}, {alpha}")
 
 
-def walk_oracle(table, degrees, steps):
+def walk_oracle(degrees, steps):
     for d in degrees:
         walks = enumerate_counts(d, steps)
-        t = table(d)
         for (alpha, r), walked in sorted(walks.per_type.items()):
-            formula = series_coeff(alpha, r, t)
+            formula = series_coeff(alpha, r)
             _require(walked == formula,
                      f"d={d} class {alpha}, r={r}: {walked} walks, formula {formula}")
         witness = class_function_check(walks)
@@ -124,17 +128,16 @@ def walk_oracle(table, degrees, steps):
                  f"walk counts not constant on classes at d={d}: {witness}")
 
 
-def bottom_catalan(table, degrees):
+def bottom_catalan(degrees):
     for d in degrees:
-        t = table(d)
-        for alpha in t.order:
-            _require(series_coeff(alpha, vanishing_order(alpha), t)
+        for alpha in lex_list(d):
+            _require(series_coeff(alpha, vanishing_order(alpha))
                      == m0_catalan(alpha), f"bottom coefficient at {alpha}")
 
 
-def series_parity(table, degrees, steps):
+def series_parity(degrees, steps):
     for d in degrees:
-        t = table(d)
+        t = build_table(d)
         for alpha in t.order:
             base = vanishing_order(alpha)
             for r in range(steps):
@@ -143,16 +146,16 @@ def series_parity(table, degrees, steps):
                              f"off-support coefficient at {alpha}, r={r}")
 
 
-def scans_monotone(table, degrees):
+def scans_monotone(degrees):
     for d in degrees:
-        rep = scan(d, table=table(d))
+        rep = scan(d)
         vals = [mv.value for mv in rep.values]
         _require(not rep.violations and not rep.ties
                  and all(a > b for a, b in zip(vals, vals[1:])),
                  f"monotonicity fails at degree {d}")
 
 
-def family_growth(table):
+def family_growth():
     ratios = {n: counterexample_family(n)[2] for n in range(1, 21)}
     first = min(n for n, q in ratios.items() if q > 1)
     _require(first == 5, f"ratio first exceeds 1 at n={first}")
@@ -162,48 +165,43 @@ def family_growth(table):
     _require(ratios[20] / ratios[5] > 100, "ratio(20) / ratio(5) <= 100")
 
 
-def positivity_samples(table, degrees):
+def positivity_samples(degrees):
     for d in degrees:
-        t = table(d)
-        xs = [Fraction(1, 10 * d), Fraction(1, 2 * d), Fraction(1, d),
-              Fraction(99, 100 * (d - 1))]
-        for alpha in t.order:
-            for x in xs:
-                _require(eval_M(alpha, x, t) > 0,
-                         f"non-positive value at {alpha}, x={x}")
+        for x in (Fraction(1, 10 * d), Fraction(1, 2 * d), Fraction(1, d),
+                  Fraction(99, 100 * (d - 1))):
+            for alpha, value in scan(d, x).values:
+                _require(value > 0, f"non-positive value at {alpha}, x={x}")
 
 
-def normalized_pair_d13(table):
-    t = table(13)
+def normalized_pair_d13():
     raw = []
     for text, expect in (_D13_LOW, _D13_HIGH):
-        alpha = Partition.parse(text)
-        got = normalized_value(alpha, t)
+        raw.append(eval_M(Partition.parse(text), Fraction(1, 13)))
+        got = raw[-1] * normalizer(13)
         _require(got == expect, f"normalized value of {text} is {got}")
-        raw.append(eval_M(alpha, Fraction(1, 13), t))
         _require(raw[-1] == _D13_SCALE * expect,
                  f"raw value of {text} at 1/13 is {raw[-1]}")
     _require(raw[0] < raw[1], "degree-13 violating pair not strictly ordered")
 
 
-def violations_d13(table):
-    rep = scan(13, table=table(13))
+def violations_d13():
+    rep = scan(13)
     got = [str(p) for p in rep.violations]
     _require(got == _VIOLATIONS[13], f"violations at 13: {got}")
     _require(len(rep.runs) == 2 and sum(r.length for r in rep.runs) == 101,
              "run structure at 13")
 
 
-def violations_d14_d16(table):
+def violations_d14_d16():
     for d in (14, 15, 16):
-        rep = scan(d, table=table(d))
+        rep = scan(d)
         got = [str(p) for p in rep.violations]
         _require(got == _VIOLATIONS[d], f"violations at {d}: {got}")
         _require(not rep.ties, f"unexpected tie at degree {d}")
 
 
-def scan_d20_census(table):
-    rep = scan(20, table=table(20))
+def scan_d20_census():
+    rep = scan(20)
     _require(len(rep.values) == _P20, f"p(20) = {len(rep.values)}")
     _require(len(rep.violations) == 45, f"|violations| at 20: {len(rep.violations)}")
     stat = interval_stat(rep, Partition.parse("1,2^2,4,11"),
@@ -270,10 +268,9 @@ def checks(level: str) -> list:
 def run_selftest(level: str = "quick") -> int:
     """Run checks up to the given level; 0 on success, 1 at first failure."""
     selected = checks(level)
-    table = lru_cache(maxsize=None)(build_table)
     for _, name, check in selected:
         try:
-            check(table)
+            check()
         except AssertionError as exc:
             print(f"FAIL {name}: {exc}")
             return 1

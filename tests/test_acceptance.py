@@ -3,8 +3,8 @@
 The checks and the regression values they pin live in
 ``wgmono.selftest``; this file runs each one exactly (tolerance zero),
 prints a PASS line with its elapsed time and asserts that it took less
-than ``BUDGET`` seconds.  Character tables are shared through the
-session store, which mirrors normal operation (the budget allows reuse).
+than ``BUDGET`` seconds.  A check builds whatever it needs itself, as
+``selftest`` runs it.
 """
 
 import time
@@ -21,9 +21,9 @@ CHECKS = selftest.checks("extended")
 
 @pytest.mark.parametrize("name,check", [(name, check) for _, name, check in CHECKS],
                          ids=[name for _, name, _ in CHECKS])
-def test_check(name, check, tables):
+def test_check(name, check):
     start = time.perf_counter()
-    check(tables.get)
+    check()
     elapsed = time.perf_counter() - start
     print(f"PASS {name}: {elapsed:.2f}s (budget {BUDGET}s)")
     assert elapsed < BUDGET, f"{name} exceeded budget: {elapsed:.1f}s > {BUDGET}s"

@@ -7,10 +7,10 @@ from pathlib import Path
 
 import pytest
 
-from wgmono import _mnkernel_py, cli, selftest
+from wgmono import _mnkernel_py, characters, cli, selftest
 from wgmono.characters import (CharacterTable, build_table, cache_load, cache_store,
                                default_cache_path)
-from wgmono.partitions import Partition
+from wgmono.partitions import Partition, lex_list
 from wgmono.scanner import scan
 
 
@@ -79,6 +79,22 @@ class TestScan:
                                  "--high", "3", "--format", "csv")
         assert (code, out) == (1, "")
         assert err == "error: --low/--high need --format text or json\n"
+
+
+class TestClosedPipe:
+    def test_reader_closing_early_is_one_error_line(self):
+        # 627 JSON entries are more than a pipe holds, so a write must fail
+        src = str(Path(cli.__file__).resolve().parents[1])
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "wgmono.cli", "scan", "--d", "20", "--format", "json"],
+            env=dict(os.environ, PYTHONPATH=src), stdout=subprocess.PIPE,
+            stderr=subprocess.PIPE, text=True)
+        assert proc.stdout.readline() == "{\n"
+        proc.stdout.close()
+        err = proc.stderr.read()
+        proc.stderr.close()
+        assert proc.wait() == 1
+        assert err == "error: output closed before it was all written\n"
 
 
 class TestFamily:
@@ -248,17 +264,52 @@ class TestSelftest:
         assert extended == selftest.CHECKS
 
     def test_failed_identity_prints_fail_line(self, monkeypatch, capsys):
-        # chi(1^4,2^2; 1^3,2,3) + 1 at d = 8, past the tables the quick
-        # level verifies
-        good = build_table(8)
-        values = [list(row) for row in good.values]
-        values[good.position((1, 1, 1, 1, 2, 2))][good.position((1, 1, 1, 2, 3))] += 1
-        bad = CharacterTable(8, tuple(map(tuple, values)))
-        monkeypatch.setattr(selftest, "build_table",
-                            lambda d: bad if d == 8 else build_table(d))
+        # chi(1^4,2^2; 1^3,2,3) + 1 from the kernel, at d = 8, past the
+        # tables the quick level verifies
+        true_vectors = _mnkernel_py.class_vectors
+        row = lex_list(8).index(Partition.parse("1^4,2^2"))
+
+        def wrong_vectors(alphas):
+            for alpha, vec in true_vectors(alphas):
+                if alpha == (1, 1, 1, 2, 3):
+                    vec = list(vec)
+                    vec[row] += 1
+                yield alpha, vec
+
+        monkeypatch.setattr(_mnkernel_py, "class_vectors", wrong_vectors)
         assert selftest.run_selftest("standard") == 1
         last = capsys.readouterr().out.splitlines()[-1]
         assert last.startswith("FAIL bottom coefficient catalan d<=8: ")
+
+    def test_one_class_columns_are_checked(self, monkeypatch, capsys):
+        # a wrong column only where eval and coeff read one class alone
+        true_vectors = _mnkernel_py.class_vectors
+
+        def wrong_vectors(alphas):
+            alphas = list(alphas)
+            for alpha, vec in true_vectors(alphas):
+                if len(alphas) == 1 and sum(alpha) == 8:
+                    vec = [vec[0] + 1, *vec[1:]]
+                yield alpha, vec
+
+        monkeypatch.setattr(_mnkernel_py, "class_vectors", wrong_vectors)
+        assert selftest.run_selftest("extended") == 1
+        last = capsys.readouterr().out.splitlines()[-1]
+        assert last.startswith("FAIL bottom coefficient catalan d<=8: ")
+
+    def test_only_the_table_checks_build_tables(self, monkeypatch):
+        def no_table(d):
+            raise RuntimeError(f"table of degree {d} built")
+
+        monkeypatch.setattr(selftest, "build_table", no_table)
+        monkeypatch.setattr(characters, "build_table", no_table)
+        table_checks = (selftest.tables_verify, selftest.series_parity)
+        for *_, check in selftest.CHECKS:
+            if getattr(check, "func", check) in table_checks:
+                with pytest.raises(RuntimeError, match="table of degree"):
+                    check()
+            else:
+                check()
 
 
 PUBLIC_NAMES = [
@@ -268,7 +319,7 @@ PUBLIC_NAMES = [
     "conjugate", "dimension", "lex_list", "lex_successor",
     "CharacterTable", "build_table", "character_column", "verify_table",
     "catalan", "complete_homogeneous", "counterexample_family", "eval_M",
-    "format_rat", "leading_ratio", "m0_catalan", "normalized_value", "parse_rat",
+    "format_rat", "leading_ratio", "m0_catalan", "normalizer", "parse_rat",
     "series_coeff", "vanishing_order",
     "WalkCounts", "class_function_check", "enumerate_counts",
     "IntervalStat", "MValue", "Run", "ScanReport", "interval_stat", "scan",

@@ -15,6 +15,7 @@ from wgmono.partitions import (
     dimension,
     lex_list,
     lex_successor,
+    parse_int,
 )
 
 partitions_st = st.lists(st.integers(1, 9), min_size=1, max_size=8).map(
@@ -56,7 +57,8 @@ class TestPartitionType:
     def test_parse(self, text, parts):
         assert Partition.parse(text) == Partition(parts)
 
-    @pytest.mark.parametrize("bad", ["", "0", "2,1", "1^0", "1..2", "7,", "x"])
+    @pytest.mark.parametrize("bad", ["", "0", "2,1", "1^0", "1..2", "7,", "x",
+                                     "\u0661^6,7", "2^\u0662", "1_3"])
     def test_parse_rejects(self, bad):
         with pytest.raises(PartitionError):
             Partition.parse(bad)
@@ -92,6 +94,20 @@ class TestPartitionType:
     @given(partitions_st)
     def test_text_round_trip(self, p):
         assert Partition.parse(str(p)) == p
+
+
+class TestParseInt:
+    @pytest.mark.parametrize("text,value", [("13", 13), ("-1", -1), ("+3", 3),
+                                            (" 7 ", 7), ("007", 7)])
+    def test_ascii_digits(self, text, value):
+        assert parse_int(text) == value
+
+    # Arabic-Indic and fullwidth digits, underscores: all taken by int()
+    @pytest.mark.parametrize("bad", ["\u0661", "-\u0661", "\uff11\uff13", "1_3",
+                                     "", "-", "1.0", "0x1"])
+    def test_rejects(self, bad):
+        with pytest.raises(ValueError, match="^not an integer: "):
+            parse_int(bad)
 
 
 def all_partitions(n):

@@ -8,7 +8,7 @@ import pytest
 from wgmono.characters import (CharacterTable, build_table, cache_load, cache_store,
                                default_cache_path)
 from wgmono.errors import DegreeMismatchError, DomainError
-from wgmono.genfun import eval_M, normalized_value
+from wgmono.genfun import eval_M, normalizer
 from wgmono.partitions import Partition, lex_list
 from wgmono.scanner import (
     _classify,
@@ -148,7 +148,7 @@ class TestSerialization:
         rep = scan(5, table=tables.get(5))
         doc = json.loads(rep.to_json())
         for entry, alpha in zip(doc["entries"], lex_list(5)):
-            expect = normalized_value(alpha, tables.get(5))
+            expect = eval_M(alpha, Fraction(1, 5)) * normalizer(5)
             assert entry["normalized"] == f"{expect.numerator}/{expect.denominator}"
 
     def test_csv_round_trip(self, tables):
