@@ -19,8 +19,8 @@ _EXPORTS = {
                "PartitionError", "PoleError", "TableVerificationError"),
     "partitions": ("CellStats", "Partition", "cell_stats", "class_size",
                    "conjugate", "dimension", "lex_list", "lex_successor"),
-    "characters": ("CharacterTable", "build_table", "character_column",
-                   "verify_table"),
+    "characters": ("CharacterTable", "build_table", "verify_table"),
+    "_mnkernel_py": ("character_column",),
     "genfun": ("catalan", "complete_homogeneous", "counterexample_family", "eval_M",
                "format_rat", "leading_ratio", "m0_catalan", "normalizer",
                "parse_rat", "series_coeff", "vanishing_order"),

@@ -1,4 +1,5 @@
-"""Character kernel: a bottom-up column DP over border strips.
+"""Character kernel: two DPs over one table of border strips, and the
+column API every character the package reads comes through.
 
 Shapes travel as bead masks: bit b is set when some row i (1-based, rows
 nonincreasing, no zero rows) has first-column hook lam_i + rows - i = b.
@@ -18,9 +19,24 @@ work.  The vector of size n is indexed by the shapes of n in
 ``lex_list(n)`` order, and only the sizes some prefix of a class reaches
 are enumerated: the column of (1, 1, 18) visits the shapes of 1, 2 and
 20 only.
+
+Read downwards, the same rule gives every class sum at once:
+sum_lambda chi(lambda, alpha) w_lambda is p_alpha^perp applied to
+sum_lambda w_lambda s_lambda, and p_r^perp removes every border strip
+of size r.  ``class_sums`` reads the addition tables of ``_strip_moves``
+as that removal step, with the largest parts removed first.
+
+``class_columns`` is the one source of character columns, from a table
+or from ``class_vectors``, behind the degree cap ``partitions.MAX_DEGREE``;
+``character_column`` reads one.  This module does not import
+``characters``, so a request that builds no table never loads the
+table, its certificate or the cache.
 """
 
 from __future__ import annotations
+
+from .errors import DegreeMismatchError
+from .partitions import _check_cap, as_partition, lex_list
 
 KERNEL_NAME = "pure-python"
 
@@ -73,6 +89,37 @@ def _strip_moves(masks: list[int], r: int, at: dict[int, int]) -> list[tuple[lis
     return out
 
 
+def _strip_tables():
+    """``moves(n, r)``: ``_strip_moves`` from the shapes of n to those of
+    n + r, built on first use; ``size(n)`` is the number of shapes of n.
+    """
+    shapes = {0: [0]}  # size -> masks in lex_list order, for every size reached
+    at = {}  # size -> {mask: position}
+    strips = {}  # (n, r) -> per shape of size n: (plus, minus) positions at n + r
+
+    def masks(n: int) -> list[int]:
+        if n not in shapes:
+            shapes[n] = lex_masks(n)
+        return shapes[n]
+
+    def moves(n: int, r: int):
+        table = strips.get((n, r))
+        if table is None:
+            if n + r not in at:
+                at[n + r] = {m: i for i, m in enumerate(masks(n + r))}
+            table = strips[n, r] = _strip_moves(masks(n), r, at[n + r])
+        return table
+
+    return moves, lambda n: len(masks(n))
+
+
+def _common_prefix(a: tuple, b: tuple) -> int:
+    k = 0
+    while k < len(a) and k < len(b) and a[k] == b[k]:
+        k += 1
+    return k
+
+
 def class_vectors(alphas):
     """Yield (class, vector) for every distinct class, in sorted order.
 
@@ -81,35 +128,15 @@ def class_vectors(alphas):
     classes of one degree is ``lex_list(d)`` order.  The vectors are
     never changed after they are yielded.
     """
-    classes = sorted({tuple(a) for a in alphas})
-    shapes = {0: [0]}  # size -> masks in lex_list order, for every size reached
-    for alpha in classes:
-        n = 0
-        for r in alpha:
-            n += r
-            if n not in shapes:
-                shapes[n] = lex_masks(n)
-    at = {}  # size -> {mask: position}
-    strips = {}  # (n, r) -> per shape of size n: (plus, minus) positions at n + r
-
-    def moves(n: int, r: int):
-        table = strips.get((n, r))
-        if table is None:
-            if n + r not in at:
-                at[n + r] = {m: i for i, m in enumerate(shapes[n + r])}
-            table = strips[n, r] = _strip_moves(shapes[n], r, at[n + r])
-        return table
-
+    moves, size = _strip_tables()
     stack = [[1]]  # stack[k]: vector of the first k parts of prev
     prev: tuple[int, ...] = ()
-    for alpha in classes:
-        k = 0
-        while k < len(prev) and k < len(alpha) and prev[k] == alpha[k]:
-            k += 1
+    for alpha in sorted({tuple(a) for a in alphas}):
+        k = _common_prefix(prev, alpha)
         del stack[k + 1:]
         n = sum(alpha[:k])
         for r in alpha[k:]:
-            vec = [0] * len(shapes[n + r])
+            vec = [0] * size(n + r)
             for c, (plus, minus) in zip(stack[-1], moves(n, r)):
                 if c:
                     for i in plus:
@@ -120,6 +147,45 @@ def class_vectors(alphas):
             n += r
         prev = alpha
         yield alpha, stack[-1]
+
+
+def class_sums(classes, weights) -> list[int]:
+    """sum_i chi(lex_list(d)[i], alpha) * weights[i] for each class alpha, in order.
+
+    Every class is a nondecreasing tuple of parts summing to d, and
+    ``weights`` has one entry per shape of d.  The sum is p_alpha^perp
+    applied to W = sum_i weights[i] s_i, read at the empty shape: each
+    part r removes every border strip of size r, each with its sign, so
+    u[mu] is the signed sum of v[lam] over the shapes lam one r-strip
+    above mu (the addition table of ``_strip_moves``, read as a pull).
+    Parts are removed largest first and the classes visited in order of
+    their reversed parts, so classes that share their largest parts share
+    those vectors.
+    """
+    classes = [tuple(a) for a in classes]
+    moves, _ = _strip_tables()
+    sums = [0] * len(classes)
+    stack = [list(weights)]  # stack[k]: after removing the k largest parts of prev
+    prev: tuple[int, ...] = ()
+    for j in sorted(range(len(classes)), key=lambda j: classes[j][::-1]):
+        parts = classes[j][::-1]
+        k = _common_prefix(prev, parts)
+        del stack[k + 1:]
+        n = sum(parts[k:])
+        for r in parts[k:]:
+            v, u = stack[-1], []
+            n -= r
+            for plus, minus in moves(n, r):
+                s = 0
+                for i in plus:
+                    s += v[i]
+                for i in minus:
+                    s -= v[i]
+                u.append(s)
+            stack.append(u)
+        sums[j] = stack[-1][0]
+        prev = parts
+    return sums
 
 
 def compute_columns(masks: list[int], alphas: list[tuple[int, ...]]) -> list[list[int]]:
@@ -135,3 +201,45 @@ def compute_columns(masks: list[int], alphas: list[tuple[int, ...]]) -> list[lis
         raise ValueError("masks must be lex_masks(d) for the classes' degree d")
     vectors = dict(class_vectors(alphas))
     return [list(vectors[a]) for a in alphas]
+
+
+def class_columns(d: int, classes=None, table=None):
+    """``(shapes, columns)``: ``lex_list(d)`` or the table's order, and one
+    column chi(lam, class) over those shapes per class of ``classes``.
+
+    ``classes`` defaults to every class of d; without a table they must be
+    distinct and in lex order.  The call checks the degree cap, or the
+    table's degree, and nothing more: columns, and shapes for given
+    classes, are computed when read.  A table is a
+    ``characters.CharacterTable``; this module never imports that one.
+    """
+    if table is not None:
+        if table.degree != d:
+            raise DegreeMismatchError(f"degree {d} against table of degree {table.degree}")
+        if classes is None:
+            return table.order, zip(*table.values)
+        return table.order, map(table.column, classes)
+    _check_cap(d)
+    if classes is None:
+        shapes = classes = lex_list(d)
+    else:
+        shapes, classes = _deferred(lex_list, d), map(as_partition, classes)
+    return shapes, (vec for _, vec in _deferred(class_vectors, classes))
+
+
+def _deferred(source, arg):
+    """Iterate over ``source(arg)``, calling it only when first read."""
+    yield from source(arg)
+
+
+def character_column(alpha) -> tuple[int, ...]:
+    """chi(lam, alpha) for every shape lam in ``lex_list(d)``.
+
+    d is at most ``partitions.MAX_DEGREE``.  The column DP visits only the
+    degrees the class's prefix sums reach, so a class with few parts costs
+    little more than its last level.
+
+    >>> character_column((3,))  # shapes 1^3, 1,2 and 3
+    (1, -1, 1)
+    """
+    return tuple(next(class_columns(sum(alpha), (alpha,))[1]))

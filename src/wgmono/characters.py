@@ -2,9 +2,11 @@
 
 A :class:`CharacterTable` holds the complete integer table for one
 degree, rows and columns both indexed by the lex-ordered partition list.
-Every column the package reads comes through ``class_columns``: from a
-table, or from the column DP of ``_mnkernel_py``, which adds the parts of
-each class as border strips to the empty shape.
+``build_table`` reads every column through ``_mnkernel_py.class_columns``,
+the column DP that adds the parts of each class as border strips to the
+empty shape; ``verify_table`` certifies a table.  The command line's
+``eval``, ``coeff`` and ``scan`` build no table and never import this
+module.
 
 Tables persist to a versioned, checksummed text file of rows only (the
 class order is always ``lex_list(d)``); ``WG_CACHE_DIR`` selects the
@@ -21,10 +23,10 @@ from math import prod
 from operator import mul
 
 from . import _mnkernel_py
-from .errors import CapExceededError, DegreeMismatchError, TableVerificationError
-from .partitions import as_partition, conjugate, dimension, lex_list
+from ._mnkernel_py import class_columns
+from .errors import TableVerificationError
+from .partitions import MAX_DEGREE, _check_cap, as_partition, conjugate, dimension, lex_list
 
-MAX_DEGREE = 20
 CACHE_MAGIC = "WGCT2"
 CACHE_ENV = "WG_CACHE_DIR"
 _PRIME = (1 << 127) - 1  # the modulus of the verify_table certificate
@@ -71,53 +73,6 @@ class CharacterTable:
 
     def __repr__(self) -> str:
         return f"<CharacterTable d={self.degree}, {len(self.order)} classes>"
-
-
-def character_column(alpha) -> tuple[int, ...]:
-    """chi(lam, alpha) for every shape lam in ``lex_list(d)``, d at most ``MAX_DEGREE``.
-
-    The column DP visits only the degrees the class's prefix sums reach,
-    so a class with few parts costs little more than its last level.
-
-    >>> character_column((3,))  # shapes 1^3, 1,2 and 3
-    (1, -1, 1)
-    """
-    return tuple(next(class_columns(sum(alpha), (alpha,))[1]))
-
-
-def class_columns(d: int, classes=None, table: CharacterTable | None = None):
-    """``(shapes, columns)``: ``lex_list(d)`` or the table's order, and one
-    column chi(lam, class) over those shapes per class of ``classes``.
-
-    ``classes`` defaults to every class of d; without a table they must be
-    distinct and in lex order.  The call checks the degree cap, or the
-    table's degree, and nothing more: columns, and shapes for given
-    classes, are computed when read.
-    """
-    if table is not None:
-        if table.degree != d:
-            raise DegreeMismatchError(f"degree {d} against table of degree {table.degree}")
-        if classes is None:
-            return table.order, zip(*table.values)
-        return table.order, map(table.column, classes)
-    _check_cap(d)
-    if classes is None:
-        shapes = classes = lex_list(d)
-    else:
-        shapes, classes = _deferred(lex_list, d), map(as_partition, classes)
-    return shapes, (vec for _, vec in _deferred(_mnkernel_py.class_vectors, classes))
-
-
-def _deferred(source, arg):
-    """Iterate over ``source(arg)``, calling it only when first read."""
-    yield from source(arg)
-
-
-def _check_cap(d: int) -> None:
-    if d < 1:
-        raise CapExceededError(f"degree must be >= 1, got {d}")
-    if d > MAX_DEGREE:
-        raise CapExceededError.for_degree(d, MAX_DEGREE)
 
 
 def build_table(d: int, *, jobs: int = 1) -> CharacterTable:

@@ -9,80 +9,140 @@ Partitions are written "1,1,2" or "1^2,2" on input and always rendered
 in exponent form; rationals are "N/D" or "N" on input and always "N/D"
 reduced on output; every number is written in ASCII digits.  Nothing
 is read from or written to disk: eval and coeff compute the one
-character column they need, scan streams the kernel's class vectors
-without a table, and selftest builds tables only in its two table
-checks.
+character column they need, scan removes border strips from the
+weights to get every class sum at once without a table, and selftest
+builds tables only in its two table checks.
 Each verb imports the modules it runs when it runs, and ``json`` and
 ``csv`` load only with the format that prints them, so a request
-compiles only those.
+compiles only those.  The options of every verb are one table,
+``VERBS``: ``plain_args`` reads a plain command line from it without
+importing ``argparse``, and ``build_parser`` makes from it the
+``argparse`` parser that prints help and usage errors.
 """
 
 from __future__ import annotations
 
-import argparse
 import os
 import sys
 
 from .errors import DomainError, TableVerificationError
 
 # The selftest levels, nested: each runs the checks of the ones before it.
-# Their home is here so that building the parser does not import selftest.
+# Their home is here so that reading the options does not import selftest.
 LEVELS = ("quick", "standard", "extended")
 
+# Every verb: its help line and its options, each (name, kind, required,
+# default, help).  A kind is str, int (the ASCII integer grammar of
+# ``partitions.parse_int``), bool (a flag) or a tuple of choices.
+_FORMAT = ("format", ("json", "csv", "text"), False, "text", None)
+VERBS = {
+    "eval": ("evaluate the generating function at one point", (
+        ("alpha", str, True, None, "cycle type, e.g. 1^6,7"),
+        ("x", str, False, None, "rational point N/D (default 1/d)"),
+        ("normalized", bool, False, False, "rescale by (d!)^2 / d^d"),
+        _FORMAT)),
+    "coeff": ("series coefficient: r-step walk count", (
+        ("alpha", str, True, None, None),
+        ("r", int, True, None, None),
+        _FORMAT)),
+    "scan": ("scan all partitions of a degree", (
+        ("d", int, True, None, None),
+        ("x", str, False, None, None),
+        ("low", str, False, None, "interval query: open lower bound"),
+        ("high", str, False, None, "interval query: closed upper bound"),
+        _FORMAT)),
+    "walks": ("brute-force monotone walk counts", (
+        ("d", int, True, None, None),
+        ("R", int, True, None, None),
+        _FORMAT)),
+    "family": ("equal-length pair with growing small-x ratio", (
+        ("n", int, False, None, None),
+        ("alpha", str, False, None, "custom pair: first partition"),
+        ("beta", str, False, None, "custom pair: second partition"),
+        _FORMAT)),
+    "selftest": ("run the built-in check suite", (
+        ("level", LEVELS, False, "quick", None),)),
+}
 
-def build_parser() -> argparse.ArgumentParser:
+
+def build_parser():
+    """The ``argparse`` parser of ``VERBS``: usage, help and every refusal."""
+    import argparse
+
     from .partitions import parse_int
+
+    def integer(text):
+        # a refusal names the grammar, as "argument --r: not an integer: ..."
+        try:
+            return parse_int(text)
+        except ValueError as exc:
+            raise argparse.ArgumentTypeError(str(exc)) from None
 
     parser = argparse.ArgumentParser(
         prog="wgmono",
         description="Exact monotone-walk generating functions and monotonicity scans.")
     sub = parser.add_subparsers(dest="verb", required=True)
-
-    def formats(p):
-        p.add_argument("--format", choices=("json", "csv", "text"), default="text")
-
-    p = sub.add_parser("eval", help="evaluate the generating function at one point")
-    p.add_argument("--alpha", required=True, help="cycle type, e.g. 1^6,7")
-    p.add_argument("--x", default=None, help="rational point N/D (default 1/d)")
-    p.add_argument("--normalized", action="store_true",
-                   help="rescale by (d!)^2 / d^d")
-    formats(p)
-
-    p = sub.add_parser("coeff", help="series coefficient: r-step walk count")
-    p.add_argument("--alpha", required=True)
-    p.add_argument("--r", type=parse_int, required=True)
-    formats(p)
-
-    p = sub.add_parser("scan", help="scan all partitions of a degree")
-    p.add_argument("--d", type=parse_int, required=True)
-    p.add_argument("--x", default=None)
-    p.add_argument("--low", default=None, help="interval query: open lower bound")
-    p.add_argument("--high", default=None, help="interval query: closed upper bound")
-    formats(p)
-
-    p = sub.add_parser("walks", help="brute-force monotone walk counts")
-    p.add_argument("--d", type=parse_int, required=True)
-    p.add_argument("--R", type=parse_int, required=True)
-    formats(p)
-
-    p = sub.add_parser("family", help="equal-length pair with growing small-x ratio")
-    p.add_argument("--n", type=parse_int, default=None)
-    p.add_argument("--alpha", default=None, help="custom pair: first partition")
-    p.add_argument("--beta", default=None, help="custom pair: second partition")
-    formats(p)
-
-    p = sub.add_parser("selftest", help="run the built-in check suite")
-    p.add_argument("--level", choices=LEVELS, default="quick")
-
+    for verb, (summary, options) in VERBS.items():
+        p = sub.add_parser(verb, help=summary)
+        for name, kind, required, default, text in options:
+            if kind is bool:
+                p.add_argument(f"--{name}", action="store_true", help=text)
+            elif isinstance(kind, tuple):
+                p.add_argument(f"--{name}", choices=kind, default=default, help=text)
+            else:
+                p.add_argument(f"--{name}", type=integer if kind is int else None,
+                               required=required, default=default, help=text)
     return parser
+
+
+def plain_args(argv: list[str]):
+    """The options ``build_parser()`` reads from a plain command line, or None.
+
+    Plain is a verb, then options spelled in full, each value the next
+    word and not starting with "-", every value valid and every required
+    option given.  Any other line (help, an abbreviation, ``--x=...``, a
+    refusal) is None, and ``main`` hands it to ``argparse``, which then
+    need not be imported for a plain one.
+    """
+    if not argv or argv[0] not in VERBS:
+        return None
+    from .partitions import parse_int
+
+    options = {f"--{option[0]}": option for option in VERBS[argv[0]][1]}
+    values = {name: default for name, _, _, default, _ in options.values()}
+    given = set()
+    words = iter(argv[1:])
+    for word in words:
+        if word not in options:
+            return None
+        name, kind = options[word][:2]
+        given.add(name)
+        if kind is bool:
+            values[name] = True
+            continue
+        value = next(words, "-")
+        if value.startswith("-"):
+            return None
+        if kind is int:
+            try:
+                value = parse_int(value)
+            except ValueError:
+                return None
+        elif kind is not str and value not in kind:
+            return None
+        values[name] = value
+    if any(option[2] and option[0] not in given for option in options.values()):
+        return None
+    from types import SimpleNamespace
+
+    return SimpleNamespace(verb=argv[0], **values)
 
 
 def _cmd_eval(args) -> int:
     from fractions import Fraction
 
-    from .characters import MAX_DEGREE
     from .genfun import eval_M, format_rat, normalizer, parse_rat
-    from .partitions import Partition
+    from .partitions import MAX_DEGREE, Partition
 
     alpha = Partition.parse(args.alpha, MAX_DEGREE)
     d = alpha.degree
@@ -106,9 +166,8 @@ def _cmd_eval(args) -> int:
 
 
 def _cmd_coeff(args) -> int:
-    from .characters import MAX_DEGREE
     from .genfun import series_coeff
-    from .partitions import Partition
+    from .partitions import MAX_DEGREE, Partition
 
     alpha = Partition.parse(args.alpha, MAX_DEGREE)
     count = series_coeff(alpha, args.r)
@@ -127,9 +186,8 @@ def _cmd_coeff(args) -> int:
 
 
 def _cmd_scan(args) -> int:
-    from .characters import MAX_DEGREE
     from .genfun import format_rat, parse_rat
-    from .partitions import Partition
+    from .partitions import MAX_DEGREE, Partition
     from .scanner import interval_stat, scan
 
     x = parse_rat(args.x) if args.x is not None else None
@@ -236,7 +294,10 @@ _COMMANDS = {
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
+    argv = sys.argv[1:] if argv is None else list(argv)
+    args = plain_args(argv)
+    if args is None:
+        args = build_parser().parse_args(argv)
     try:
         code = _COMMANDS[args.verb](args)
         sys.stdout.flush()  # a reader that closed the pipe shows here, not at exit

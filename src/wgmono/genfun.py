@@ -34,6 +34,7 @@ from __future__ import annotations
 import math
 import re
 from fractions import Fraction
+from itertools import combinations
 from operator import mul
 from typing import TYPE_CHECKING
 
@@ -75,19 +76,42 @@ def normalizer(d: int) -> Fraction:
     return Fraction(math.factorial(d) ** 2, d ** d)
 
 
-def _weights(d: int, shapes, x) -> tuple[Fraction, list[int]]:
-    """Scale q^d / L and integer weights L / D_lambda over the shapes of degree d."""
+def _checked_point(d: int, x) -> Fraction:
+    """x as a ``Fraction``, after checking it is no pole at degree d.
+
+    The contents of the shapes of d are exactly -(d-1)..d-1: (d) holds
+    0..d-1 and (1^d) holds 0..-(d-1), and neither character vanishes.  In
+    lowest terms p/q, 1 - c*x = 0 for an integer c iff p = +-1 and c = p*q,
+    so the one test is |p| = 1 and q < d.
+    """
     x = Fraction(x)
     p, q = x.numerator, x.denominator
+    if abs(p) == 1 and q < d:
+        raise PoleError(p * q, x)
+    return x
+
+
+def _weights(d: int, shapes, x) -> tuple[Fraction, list[int]]:
+    """Scale q^d / L and integer weights L / D_lambda over shapes of degree d.
+
+    ``shapes`` may be any of the shapes of d, and L is the lcm over those
+    only; a pole at degree d is refused whatever the shapes.  Part j of
+    the stored form is row k - 1 - j from the top of the k rows: its
+    first-column hook is b_j = part + j, and its contents run up from
+    -(k - 1 - j).  The hook product is prod(b_j!) / prod(b_i - b_j), i > j.
+    """
+    x = _checked_point(d, x)
+    p, q = x.numerator, x.denominator
+    factors = [q - c * p for c in range(1 - d, d)]  # content c at c + d - 1
     denoms = []
     for lam in shapes:
-        stats = cell_stats(lam)
-        denom = stats.hook_product
-        for c in stats.contents:
-            factor = q - c * p
-            if factor == 0:
-                raise PoleError(c, x)
-            denom *= factor
+        k = len(lam)
+        hooks = [part + j for j, part in enumerate(lam)]
+        denom = (math.prod(map(math.factorial, hooks))
+                 // math.prod([b - a for a, b in combinations(hooks, 2)]))
+        for j, part in enumerate(lam):
+            start = d - k + j
+            denom *= math.prod(factors[start:start + part])
         denoms.append(denom)
     lcm = math.lcm(*denoms)
     return Fraction(q ** d, lcm), [lcm // denom for denom in denoms]
@@ -106,18 +130,22 @@ def table_weights(table: CharacterTable, x: Fraction) -> tuple[Fraction, list[in
 def eval_M(alpha, x, table: CharacterTable | None = None) -> Fraction:
     """Exact value of the walk generating function at rational x.
 
-    The column comes from ``characters.class_columns``, computed only
-    after the weights, so a pole is reported before any character.
+    The column comes from ``_mnkernel_py.class_columns``, computed only
+    after the pole check, so a pole is reported before any character.
+    The weights and their lcm cover only the shapes where the column is
+    nonzero; the reduced value is the same.
 
     >>> eval_M((2,), Fraction(1, 2))
     Fraction(2, 3)
     """
-    from .characters import class_columns
+    from ._mnkernel_py import class_columns
 
     a = as_partition(alpha)
     shapes, columns = class_columns(a.degree, (a,), table)
-    scale, weights = _weights(a.degree, shapes, x)
-    return scale * sum(map(mul, next(columns), weights))
+    x = _checked_point(a.degree, x)  # the pole before any character
+    chis, lams = zip(*[(chi, lam) for chi, lam in zip(next(columns), shapes) if chi])
+    scale, weights = _weights(a.degree, lams, x)
+    return scale * sum(map(mul, chis, weights))
 
 
 def complete_homogeneous(values, r: int) -> int:
@@ -153,7 +181,7 @@ def series_coeff(alpha, r: int, table: CharacterTable | None = None) -> int:
     and raises ``TableVerificationError`` (also under ``python -O``).
     r is capped at ``MAX_R``.
 
-    The column comes from ``characters.class_columns``.  Without a table
+    The column comes from ``_mnkernel_py.class_columns``.  Without a table
     it is computed only when r is on the support: a walk reaching alpha
     takes at least d - l(alpha) steps, and each step flips the sign, so r
     below that or of the other parity gives 0 with no column and no shape
@@ -164,7 +192,7 @@ def series_coeff(alpha, r: int, table: CharacterTable | None = None) -> int:
         raise ValueError(f"negative length {r}")
     if r > MAX_R:
         raise CapExceededError(f"r {r} beyond configured maximum {MAX_R}")
-    from .characters import class_columns
+    from ._mnkernel_py import class_columns
 
     a = as_partition(alpha)
     shapes, columns = class_columns(a.degree, (a,), table)

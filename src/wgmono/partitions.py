@@ -38,6 +38,17 @@ def parse_int(text: str) -> int:
 # pair, 3 * genfun.FAMILY_MAX_N + 1.  ``Partition.parse`` checks it by default.
 MAX_PARSE_DEGREE = 21469
 
+# The largest degree whose characters the package computes: every table,
+# column, eval, coeff and scan checks it through ``_check_cap``.
+MAX_DEGREE = 20
+
+
+def _check_cap(d: int) -> None:
+    if d < 1:
+        raise CapExceededError(f"degree must be >= 1, got {d}")
+    if d > MAX_DEGREE:
+        raise CapExceededError.for_degree(d, MAX_DEGREE)
+
 
 class Partition(tuple):
     """Nondecreasing tuple of positive parts; hashable, totally ordered.

@@ -16,11 +16,15 @@ from __future__ import annotations
 from collections import namedtuple
 from fractions import Fraction
 from operator import mul
+from typing import TYPE_CHECKING
 
-from .characters import CharacterTable, class_columns
+from ._mnkernel_py import class_columns, class_sums
 from .errors import DomainError
 from .genfun import _weights, format_rat, normalizer
-from .partitions import Partition, as_partition
+from .partitions import Partition, _check_cap, as_partition, lex_list
+
+if TYPE_CHECKING:
+    from .characters import CharacterTable
 
 
 class MValue(namedtuple("MValue", "alpha value")):
@@ -114,19 +118,26 @@ def scan(d: int, x: Fraction | None = None, *, table: CharacterTable | None = No
          jobs: int = 1) -> ScanReport:
     """Evaluate every partition of d at x (default 1/d) and classify.
 
-    Every value is one integer dot product against the common-denominator
-    weights (those of ``table_weights``); the sums are classified as integers
-    (the shared scale is positive) and become ``Fraction`` values only in
-    the report.  The columns come from ``characters.class_columns``:
-    without a table each streams from the kernel into its dot product and
-    is dropped, so no table is built.  ``jobs`` is accepted and has no
-    effect.
+    Every value is one integer sum against the common-denominator weights
+    (those of ``table_weights``); the sums are classified as integers (the
+    shared scale is positive) and become ``Fraction`` values only in the
+    report.  Without a table, ``_mnkernel_py.class_sums`` computes every
+    sum at once by removing border strips from the weights, so no
+    character is computed; with one, each is a dot product with a table
+    column.  ``jobs`` is accepted and has no effect.
     """
-    order, columns = class_columns(d, table=table)
-    x = Fraction(1, d) if x is None else Fraction(x)
-
-    scale, weights = _weights(d, order, x)
-    sums = [sum(map(mul, column, weights)) for column in columns]
+    # the cap, or the table's degree, is checked before x = 1/d is formed
+    if table is None:
+        _check_cap(d)
+        order = lex_list(d)
+        x = Fraction(1, d) if x is None else Fraction(x)
+        scale, weights = _weights(d, order, x)
+        sums = class_sums(order, weights)
+    else:
+        order, columns = class_columns(d, table=table)
+        x = Fraction(1, d) if x is None else Fraction(x)
+        scale, weights = _weights(d, order, x)
+        sums = [sum(map(mul, column, weights)) for column in columns]
     violations, ties = _classify(sums)
     return ScanReport(
         degree=d,

@@ -20,7 +20,8 @@ from fractions import Fraction
 from functools import partial
 from math import factorial
 
-from .characters import build_table, class_columns, verify_table
+from ._mnkernel_py import class_columns
+from .characters import build_table, verify_table
 from .cli import LEVELS
 from .genfun import (
     counterexample_family,

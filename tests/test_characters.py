@@ -11,7 +11,6 @@ from wgmono.characters import (
     build_table,
     cache_load,
     cache_store,
-    character_column,
     default_cache_path,
     load_or_build,
     verify_table,
@@ -20,6 +19,7 @@ from wgmono.errors import CapExceededError, TableVerificationError
 from wgmono.partitions import Partition, cell_stats, class_size, conjugate, lex_list
 from wgmono.scanner import scan
 from wgmono import _mnkernel_py
+from wgmono._mnkernel_py import character_column
 
 
 def frobenius_character(lam, alpha):

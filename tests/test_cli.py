@@ -1,3 +1,6 @@
+import contextlib
+import io
+import json
 import os
 import subprocess
 import sys
@@ -6,6 +9,7 @@ import warnings
 from pathlib import Path
 
 import pytest
+from hypothesis import given, strategies as st
 
 from wgmono import _mnkernel_py, characters, cli, selftest
 from wgmono.characters import (CharacterTable, build_table, cache_load, cache_store,
@@ -79,6 +83,76 @@ class TestScan:
                                  "--high", "3", "--format", "csv")
         assert (code, out) == (1, "")
         assert err == "error: --low/--high need --format text or json\n"
+
+
+class TestUsage:
+    @pytest.mark.parametrize("argv,line", [
+        (["coeff", "--alpha", "2", "--r", "\u0661"],
+         "wgmono coeff: error: argument --r: not an integer: '\u0661'"),
+        (["scan", "--d", "1_3"], "wgmono scan: error: argument --d: not an integer: '1_3'"),
+    ], ids=["coeff --r", "scan --d"])
+    def test_refused_integer_names_the_rule(self, capsys, argv, line):
+        with pytest.raises(SystemExit) as stop:
+            cli.main(argv)
+        err = capsys.readouterr().err.splitlines()
+        assert stop.value.code == 2
+        assert err[0].startswith("usage: wgmono ")
+        assert err[-1] == line
+
+
+def argparse_reads(argv):
+    """``vars`` of what the ``argparse`` parser reads, or None where it stops."""
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        try:
+            return vars(cli.build_parser().parse_args(argv))
+        except SystemExit:
+            return None
+
+
+CORPUS_ARGVS = [json.loads(line)["argv"] for line in
+                Path(__file__).with_name("cli_corpus.jsonl").read_text().splitlines()]
+# Words a command line is drawn from: every option, values argparse takes
+# and refuses, abbreviations, "=" forms and help.
+WORDS = [f"--{name}" for _, options in cli.VERBS.values() for name, *_ in options] + [
+    "json", "csv", "text", "xml", "quick", "extended", "1^6,7", "2", "13", "1/13",
+    "-1", "-1/2", "--x=1/2", "--alp", "--form", "-h", "--help", "--", "", "\u0661", "1_3"]
+
+
+class TestPlainArgs:
+    @pytest.mark.parametrize("argv", CORPUS_ARGVS, ids=range(len(CORPUS_ARGVS)))
+    def test_corpus_lines_read_as_argparse_reads_them(self, argv):
+        plain = cli.plain_args(argv)
+        assert plain is None or vars(plain) == argparse_reads(argv)
+
+    @given(st.sampled_from(list(cli.VERBS)), st.lists(st.sampled_from(WORDS), max_size=8))
+    def test_any_line_reads_as_argparse_reads_it(self, verb, words):
+        plain = cli.plain_args([verb, *words])
+        assert plain is None or vars(plain) == argparse_reads([verb, *words])
+
+    @pytest.mark.parametrize("argv", [
+        ["eval", "--alpha", "1,1,18", "--x", "2/43", "--normalized", "--format", "json"],
+        ["eval", "--alpha", "1^6,7"],
+        ["coeff", "--alpha", "2,4,6,7", "--r", "31", "--format", "json"],
+        ["scan", "--d", "13", "--format", "csv"],
+        ["scan", "--d", "20", "--low", "1,2^2,4,11", "--high", "2,5,13"],
+        ["walks", "--d", "5", "--R", "8", "--format", "text"],
+        ["family", "--n", "5"],
+        ["selftest", "--level", "quick"],
+        ["eval", "--format", "csv", "--alpha", "2", "--format", "json"],
+    ])
+    def test_requests_are_plain(self, argv):
+        plain = cli.plain_args(argv)
+        assert plain is not None and vars(plain) == argparse_reads(argv)
+
+    @pytest.mark.parametrize("argv", [
+        [], ["--help"], ["eval", "-h"], ["eval"], ["eval", "--alpha"],
+        ["eval", "--alp", "2"], ["eval", "--alpha", "2", "--x=1/2"],
+        ["eval", "--alpha", "2", "--format", "xml"], ["coeff", "--alpha", "2", "--r", "-1"],
+        ["coeff", "--alpha", "2", "--r", "\u0661"], ["scan", "--d", "1_3"],
+        ["eval", "--alpha", "2", "extra"], ["eval", "--alpha", "--x", "1/2"],
+    ])
+    def test_other_lines_are_left_to_argparse(self, argv):
+        assert cli.plain_args(argv) is None
 
 
 class TestClosedPipe:
@@ -169,8 +243,9 @@ def probe(code):
 
 
 # Modules a request that runs none of them must leave unloaded.
-UNUSED_BY_COLUMN = ("wgmono.scanner", "wgmono.walks", "wgmono.selftest",
-                    "dataclasses", "inspect", "hashlib", "json", "csv")
+UNUSED_BY_COLUMN = ("wgmono.characters", "wgmono.scanner", "wgmono.walks",
+                    "wgmono.selftest", "dataclasses", "inspect", "hashlib", "json", "csv",
+                    "argparse")
 
 
 class TestStartup:
@@ -220,7 +295,8 @@ class TestStartup:
                     "from wgmono import cli\n"
                     "assert cli.main(['scan', '--d', '5', '--format', 'csv']) == 0\n"
                     "print([m for m in ('dataclasses', 'inspect', 'json', 'hashlib', "
-                    "'wgmono.walks', 'wgmono.selftest') if m in sys.modules])\n")
+                    "'wgmono.characters', 'wgmono.walks', 'wgmono.selftest', 'argparse') "
+                    "if m in sys.modules])\n")
         assert out.splitlines()[-1] == "[]"
 
     def test_lazy_namespace(self):

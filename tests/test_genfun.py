@@ -4,13 +4,14 @@ import subprocess
 import sys
 import tracemalloc
 from fractions import Fraction
-from math import factorial
+from math import factorial, prod
+from operator import mul
 from pathlib import Path
 
 import pytest
 from hypothesis import given, strategies as st
 
-from wgmono import _mnkernel_py
+from wgmono import _mnkernel_py, genfun, scanner
 from wgmono.characters import CharacterTable
 from wgmono.errors import (CapExceededError, DegreeMismatchError, PoleError,
                            TableVerificationError)
@@ -80,8 +81,19 @@ class TestEvalM:
         with pytest.raises(PoleError, match="content -1"):
             eval_M((1, 2), Fraction(-1, 1), t)
 
+    def test_pole_before_any_character(self, monkeypatch):
+        def no_character(*args):
+            raise AssertionError("character computed before the pole check")
+
+        monkeypatch.setattr(_mnkernel_py, "class_vectors", no_character)
+        monkeypatch.setattr(scanner, "class_sums", no_character)
+        with pytest.raises(PoleError, match="^pole at x = 1/2: content 2 gives"):
+            eval_M((1, 2), Fraction(1, 2))
+        with pytest.raises(PoleError, match="^pole at x = -1/2: content -2 gives"):
+            scan(3, Fraction(-1, 2))
+
     def test_degree_mismatch(self, tables):
-        # one table-degree check, in characters.class_columns, for all three
+        # one table-degree check, in _mnkernel_py.class_columns, for all three
         for call in (lambda: eval_M((1, 2), Fraction(1, 5), tables.get(4)),
                      lambda: series_coeff((1, 2), 2, tables.get(4)),
                      lambda: scan(3, table=tables.get(4)),
@@ -143,6 +155,18 @@ class TestIntegerPath:
             assert all(isinstance(w, int) for w in weights)
             assert [scale * w for w in weights] == fraction_weights(t, x)
 
+    @pytest.mark.parametrize("d", range(11, 21))
+    def test_weights_match_cell_stats(self, d):
+        # the first-column hook formula against hooks and contents cell by cell
+        shapes = lex_list(d)
+        for x in (Fraction(1, d), Fraction(-3, 7), Fraction(5, 3)):
+            p, q = x.numerator, x.denominator
+            scale, weights = genfun._weights(d, shapes, x)
+            reference = [Fraction(q ** d, cell_stats(lam).hook_product
+                                  * prod(q - c * p for c in cell_stats(lam).contents))
+                         for lam in shapes]
+            assert [scale * w for w in weights] == reference
+
     @pytest.mark.parametrize("d", range(1, 11))
     def test_scan_and_eval_match_reference(self, d, tables):
         t = tables.get(d)
@@ -163,6 +187,25 @@ class TestIntegerPath:
             # with one the formula is evaluated, so the two meet here
             for r in range(max(2 * d, 12) + 1):
                 assert series_coeff(alpha, r) == series_coeff(alpha, r, t), (alpha, r)
+
+    @pytest.mark.parametrize("d", range(1, 15))
+    def test_strip_removal_matches_columns(self, d, tables):
+        t = tables.get(d)
+        order = lex_list(d)
+        for x in self.points(d):
+            _, weights = table_weights(t, x)
+            dots = [sum(map(mul, vec, weights))
+                    for _, vec in _mnkernel_py.class_vectors(order)]
+            assert _mnkernel_py.class_sums(order, weights) == dots
+            assert _mnkernel_py.class_sums(order[::-1], weights) == dots[::-1]
+            assert scan(d, x) == scan(d, x, table=t)
+
+    def test_table_free_scan_computes_no_character(self, monkeypatch):
+        def no_character(alphas):
+            raise AssertionError("character computed by a table-free scan")
+
+        monkeypatch.setattr(_mnkernel_py, "class_vectors", no_character)
+        assert len(scan(13).violations) == 1
 
     def test_table_free_degree_cap(self):
         with pytest.raises(CapExceededError, match="^degree 21 beyond configured maximum 20$"):
@@ -193,6 +236,8 @@ class TestIntegerPath:
         assert calls == [13]
         series_coeff(alpha, 20)
         assert calls == [13, 13]
+        assert len(scan(13).violations) == 1
+        assert calls == [13, 13, 13]
 
     @pytest.mark.parametrize("d", range(2, 11))
     def test_poles_match_reference(self, d, tables):
@@ -203,7 +248,7 @@ class TestIntegerPath:
             with pytest.raises(PoleError) as want:
                 fraction_eval(alpha, x, t)
             for call in (lambda: eval_M(alpha, x, t), lambda: eval_M(alpha, x),
-                         lambda: scan(d, x, table=t)):
+                         lambda: scan(d, x, table=t), lambda: scan(d, x)):
                 with pytest.raises(PoleError) as got:
                     call()
                 assert got.value.content == want.value.content
