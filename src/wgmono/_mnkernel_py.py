@@ -26,17 +26,15 @@ sum_lambda w_lambda s_lambda, and p_r^perp removes every border strip
 of size r.  ``class_sums`` reads the addition tables of ``_strip_moves``
 as that removal step, with the largest parts removed first.
 
-``class_columns`` is the one source of character columns, from a table
-or from ``class_vectors``, behind the degree cap ``partitions.MAX_DEGREE``;
-``character_column`` reads one.  This module does not import
-``characters``, so a request that builds no table never loads the
-table, its certificate or the cache.
+This module computes characters and nothing else: it takes no table.
+``character_column`` reads one column behind the degree cap
+``partitions.MAX_DEGREE``; whether a caller reads a table or this
+kernel is decided in ``genfun``.
 """
 
 from __future__ import annotations
 
-from .errors import DegreeMismatchError
-from .partitions import _check_cap, as_partition, lex_list
+from .partitions import _check_cap, as_partition
 
 KERNEL_NAME = "pure-python"
 
@@ -203,35 +201,6 @@ def compute_columns(masks: list[int], alphas: list[tuple[int, ...]]) -> list[lis
     return [list(vectors[a]) for a in alphas]
 
 
-def class_columns(d: int, classes=None, table=None):
-    """``(shapes, columns)``: ``lex_list(d)`` or the table's order, and one
-    column chi(lam, class) over those shapes per class of ``classes``.
-
-    ``classes`` defaults to every class of d; without a table they must be
-    distinct and in lex order.  The call checks the degree cap, or the
-    table's degree, and nothing more: columns, and shapes for given
-    classes, are computed when read.  A table is a
-    ``characters.CharacterTable``; this module never imports that one.
-    """
-    if table is not None:
-        if table.degree != d:
-            raise DegreeMismatchError(f"degree {d} against table of degree {table.degree}")
-        if classes is None:
-            return table.order, zip(*table.values)
-        return table.order, map(table.column, classes)
-    _check_cap(d)
-    if classes is None:
-        shapes = classes = lex_list(d)
-    else:
-        shapes, classes = _deferred(lex_list, d), map(as_partition, classes)
-    return shapes, (vec for _, vec in _deferred(class_vectors, classes))
-
-
-def _deferred(source, arg):
-    """Iterate over ``source(arg)``, calling it only when first read."""
-    yield from source(arg)
-
-
 def character_column(alpha) -> tuple[int, ...]:
     """chi(lam, alpha) for every shape lam in ``lex_list(d)``.
 
@@ -242,4 +211,5 @@ def character_column(alpha) -> tuple[int, ...]:
     >>> character_column((3,))  # shapes 1^3, 1,2 and 3
     (1, -1, 1)
     """
-    return tuple(next(class_columns(sum(alpha), (alpha,))[1]))
+    _check_cap(sum(alpha))
+    return tuple(next(class_vectors((as_partition(alpha),)))[1])

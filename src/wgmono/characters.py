@@ -2,7 +2,7 @@
 
 A :class:`CharacterTable` holds the complete integer table for one
 degree, rows and columns both indexed by the lex-ordered partition list.
-``build_table`` reads every column through ``_mnkernel_py.class_columns``,
+``build_table`` reads every column from ``_mnkernel_py.class_vectors``,
 the column DP that adds the parts of each class as border strips to the
 empty shape; ``verify_table`` certifies a table.  The command line's
 ``eval``, ``coeff`` and ``scan`` build no table and never import this
@@ -23,7 +23,6 @@ from math import prod
 from operator import mul
 
 from . import _mnkernel_py
-from ._mnkernel_py import class_columns
 from .errors import TableVerificationError
 from .partitions import MAX_DEGREE, _check_cap, as_partition, conjugate, dimension, lex_list
 
@@ -80,7 +79,9 @@ def build_table(d: int, *, jobs: int = 1) -> CharacterTable:
 
     The build runs in one process; ``jobs`` is accepted and has no effect.
     """
-    return CharacterTable(d, tuple(zip(*class_columns(d)[1])))
+    _check_cap(d)
+    columns = (vec for _, vec in _mnkernel_py.class_vectors(lex_list(d)))
+    return CharacterTable(d, tuple(zip(*columns)))
 
 
 def _det_mod(m: list[list[int]]) -> int:

@@ -138,6 +138,26 @@ def plain_args(argv: list[str]):
     return SimpleNamespace(verb=argv[0], **values)
 
 
+def _print_record(form: str, fields: dict, text: str) -> None:
+    """Print one record: JSON of ``fields``, their CSV header and row with
+    partitions quoted, or ``text``.
+
+    The caller formats every number first: formatting a huge one can
+    fail, and then nothing has been printed.
+    """
+    from .partitions import Partition
+
+    if form == "json":
+        import json
+
+        text = json.dumps({k: str(v) if isinstance(v, Partition) else v
+                           for k, v in fields.items()}, indent=2)
+    elif form == "csv":
+        row = (f'"{v}"' if isinstance(v, Partition) else str(v) for v in fields.values())
+        text = ",".join(fields) + "\n" + ",".join(row)
+    print(text)
+
+
 def _cmd_eval(args) -> int:
     from fractions import Fraction
 
@@ -149,19 +169,12 @@ def _cmd_eval(args) -> int:
     x = parse_rat(args.x) if args.x is not None else Fraction(1, d)
     value = eval_M(alpha, x)
     normalized = value * normalizer(d)
-    shown = normalized if args.normalized else value
-    # the whole text first: formatting a huge value can fail
+    fields = {"alpha": alpha, "x": format_rat(x)}
     if args.format == "json":
-        import json
-
-        text = json.dumps({"alpha": str(alpha), "x": format_rat(x),
-                           "value": format_rat(value),
-                           "normalized": format_rat(normalized)}, indent=2)
-    elif args.format == "csv":
-        text = f'alpha,x,value\n"{alpha}",{format_rat(x)},{format_rat(shown)}'
+        fields.update(value=format_rat(value), normalized=format_rat(normalized))
     else:
-        text = format_rat(shown)
-    print(text)
+        fields["value"] = format_rat(normalized if args.normalized else value)
+    _print_record(args.format, fields, fields["value"])
     return 0
 
 
@@ -170,18 +183,8 @@ def _cmd_coeff(args) -> int:
     from .partitions import MAX_DEGREE, Partition
 
     alpha = Partition.parse(args.alpha, MAX_DEGREE)
-    count = series_coeff(alpha, args.r)
-    # the whole text first: formatting a huge count can fail
-    if args.format == "json":
-        import json
-
-        text = json.dumps({"alpha": str(alpha), "r": args.r, "count": str(count)},
-                          indent=2)
-    elif args.format == "csv":
-        text = f'alpha,r,count\n"{alpha}",{args.r},{count}'
-    else:
-        text = str(count)
-    print(text)
+    count = str(series_coeff(alpha, args.r))
+    _print_record(args.format, {"alpha": alpha, "r": args.r, "count": count}, count)
     return 0
 
 
@@ -263,17 +266,9 @@ def _cmd_family(args) -> int:
         ratio = leading_ratio(alpha, beta)
     else:
         raise DomainError("family needs --n, or both --alpha and --beta")
-    # the whole text first: formatting a huge ratio can fail
-    if args.format == "json":
-        import json
-
-        text = json.dumps({"alpha": str(alpha), "beta": str(beta),
-                           "ratio": format_rat(ratio)}, indent=2)
-    elif args.format == "csv":
-        text = f'alpha,beta,ratio\n"{alpha}","{beta}",{format_rat(ratio)}'
-    else:
-        text = f"alpha {alpha}\nbeta {beta}\nratio {format_rat(ratio)}"
-    print(text)
+    ratio = format_rat(ratio)
+    _print_record(args.format, {"alpha": alpha, "beta": beta, "ratio": ratio},
+                  f"alpha {alpha}\nbeta {beta}\nratio {ratio}")
     return 0
 
 

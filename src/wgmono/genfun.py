@@ -34,13 +34,14 @@ from __future__ import annotations
 import math
 import re
 from fractions import Fraction
-from itertools import combinations
+from numbers import Rational
 from operator import mul
 from typing import TYPE_CHECKING
 
-from .errors import (CapExceededError, DegreeMismatchError, PoleError,
+from .errors import (CapExceededError, DegreeMismatchError, DomainError, PoleError,
                      TableVerificationError)
-from .partitions import DIGITS, INTEGER, Partition, as_partition, cell_stats, dimension
+from .partitions import (DIGITS, INTEGER, Partition, _check_cap, _hook_product,
+                         as_partition, cell_stats, dimension, lex_list)
 
 if TYPE_CHECKING:
     from .characters import CharacterTable
@@ -77,13 +78,16 @@ def normalizer(d: int) -> Fraction:
 
 
 def _checked_point(d: int, x) -> Fraction:
-    """x as a ``Fraction``, after checking it is no pole at degree d.
+    """x as a ``Fraction``, after checking it is rational and no pole at degree d.
 
+    Floats and strings, which ``Fraction`` would also read, are refused.
     The contents of the shapes of d are exactly -(d-1)..d-1: (d) holds
     0..d-1 and (1^d) holds 0..-(d-1), and neither character vanishes.  In
     lowest terms p/q, 1 - c*x = 0 for an integer c iff p = +-1 and c = p*q,
     so the one test is |p| = 1 and q < d.
     """
+    if not isinstance(x, Rational):
+        raise DomainError(f"x must be a rational number, got {x!r}")
     x = Fraction(x)
     p, q = x.numerator, x.denominator
     if abs(p) == 1 and q < d:
@@ -96,9 +100,8 @@ def _weights(d: int, shapes, x) -> tuple[Fraction, list[int]]:
 
     ``shapes`` may be any of the shapes of d, and L is the lcm over those
     only; a pole at degree d is refused whatever the shapes.  Part j of
-    the stored form is row k - 1 - j from the top of the k rows: its
-    first-column hook is b_j = part + j, and its contents run up from
-    -(k - 1 - j).  The hook product is prod(b_j!) / prod(b_i - b_j), i > j.
+    the stored form is row k - 1 - j from the top of the k rows, and its
+    contents run up from -(k - 1 - j).
     """
     x = _checked_point(d, x)
     p, q = x.numerator, x.denominator
@@ -106,9 +109,7 @@ def _weights(d: int, shapes, x) -> tuple[Fraction, list[int]]:
     denoms = []
     for lam in shapes:
         k = len(lam)
-        hooks = [part + j for j, part in enumerate(lam)]
-        denom = (math.prod(map(math.factorial, hooks))
-                 // math.prod([b - a for a, b in combinations(hooks, 2)]))
+        denom = _hook_product(lam)
         for j, part in enumerate(lam):
             start = d - k + j
             denom *= math.prod(factors[start:start + part])
@@ -127,23 +128,41 @@ def table_weights(table: CharacterTable, x: Fraction) -> tuple[Fraction, list[in
     return _weights(table.degree, table.order, x)
 
 
+def _check_degree(d: int, table: CharacterTable | None) -> None:
+    """The degree cap without a table, else the table's degree; with
+    ``_column``, the one place that chooses between a table and the kernel."""
+    if table is None:
+        _check_cap(d)
+    elif table.degree != d:
+        raise DegreeMismatchError(f"degree {d} against table of degree {table.degree}")
+
+
+def _column(a: Partition, table: CharacterTable | None) -> tuple:
+    """(shapes, chi(shape, a) per shape): the table's order and column, or
+    ``lex_list`` and the kernel's column DP.  Call after ``_check_degree``."""
+    if table is not None:
+        return table.order, table.column(a)
+    from ._mnkernel_py import class_vectors
+
+    return lex_list(a.degree), next(class_vectors((a,)))[1]
+
+
 def eval_M(alpha, x, table: CharacterTable | None = None) -> Fraction:
     """Exact value of the walk generating function at rational x.
 
-    The column comes from ``_mnkernel_py.class_columns``, computed only
-    after the pole check, so a pole is reported before any character.
-    The weights and their lcm cover only the shapes where the column is
-    nonzero; the reduced value is the same.
+    The degree is checked first (the cap, or the table's degree), then
+    the pole, and only then is the column read, so a pole is reported
+    before any character.  The weights and their lcm cover only the
+    shapes where the column is nonzero; the reduced value is the same.
 
     >>> eval_M((2,), Fraction(1, 2))
     Fraction(2, 3)
     """
-    from ._mnkernel_py import class_columns
-
     a = as_partition(alpha)
-    shapes, columns = class_columns(a.degree, (a,), table)
-    x = _checked_point(a.degree, x)  # the pole before any character
-    chis, lams = zip(*[(chi, lam) for chi, lam in zip(next(columns), shapes) if chi])
+    _check_degree(a.degree, table)
+    x = _checked_point(a.degree, x)
+    shapes, column = _column(a, table)
+    chis, lams = zip(*[(chi, lam) for chi, lam in zip(column, shapes) if chi])
     scale, weights = _weights(a.degree, lams, x)
     return scale * sum(map(mul, chis, weights))
 
@@ -181,26 +200,25 @@ def series_coeff(alpha, r: int, table: CharacterTable | None = None) -> int:
     and raises ``TableVerificationError`` (also under ``python -O``).
     r is capped at ``MAX_R``.
 
-    The column comes from ``_mnkernel_py.class_columns``.  Without a table
-    it is computed only when r is on the support: a walk reaching alpha
-    takes at least d - l(alpha) steps, and each step flips the sign, so r
-    below that or of the other parity gives 0 with no column and no shape
-    list.  With a table the formula is always evaluated, so its zeros stay
-    checked.
+    The degree is checked first (the cap, or the table's degree).  Without
+    a table the column is then read only when r is on the support: a walk
+    reaching alpha takes at least d - l(alpha) steps, and each step flips
+    the sign, so r below that or of the other parity gives 0 with no
+    column and no shape list.  With a table the formula is always
+    evaluated, so its zeros stay checked.
     """
     if r < 0:
         raise ValueError(f"negative length {r}")
     if r > MAX_R:
         raise CapExceededError(f"r {r} beyond configured maximum {MAX_R}")
-    from ._mnkernel_py import class_columns
-
     a = as_partition(alpha)
-    shapes, columns = class_columns(a.degree, (a,), table)
+    _check_degree(a.degree, table)
     gap = r - vanishing_order(a)
     if table is None and (gap < 0 or gap % 2):
         return 0
+    shapes, column = _column(a, table)
     total = 0
-    for chi, lam in zip(next(columns), shapes):
+    for chi, lam in zip(column, shapes):
         if chi:
             h_r = complete_homogeneous(cell_stats(lam).contents, r)
             total += chi * dimension(lam) * h_r

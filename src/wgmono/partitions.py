@@ -16,7 +16,9 @@ import re
 from bisect import bisect_right
 from collections import namedtuple
 from functools import lru_cache
+from itertools import combinations
 from math import factorial, prod
+from operator import index
 
 from .errors import CapExceededError, PartitionError
 
@@ -51,7 +53,7 @@ def _check_cap(d: int) -> None:
 
 
 class Partition(tuple):
-    """Nondecreasing tuple of positive parts; hashable, totally ordered.
+    """Nondecreasing tuple of positive integer parts; hashable, totally ordered.
 
     Tuple comparison on the nondecreasing form *is* the dictionary order
     used for the monotonicity scan, with a strict prefix sorting before
@@ -62,7 +64,11 @@ class Partition(tuple):
     __slots__ = ()
 
     def __new__(cls, parts) -> "Partition":
-        t = tuple(int(p) for p in parts)
+        t = tuple(parts)
+        try:  # not int(): it truncates 1.5 and reads "١"
+            t = tuple(map(index, t))
+        except TypeError:
+            raise PartitionError(f"parts must be integers, got {t}") from None
         if not t:
             raise PartitionError("partition needs at least one part")
         prev = 1
@@ -211,11 +217,20 @@ def _cell_stats(p: Partition) -> CellStats:
     return CellStats(tuple(sorted(hooks)), tuple(sorted(contents)))
 
 
+def _hook_product(lam) -> int:
+    """Hook product of a shape in stored form, from its first-column hooks:
+    part j has b_j = part + j, and the product is prod(b_j!) / prod(b_i - b_j)
+    over i > j.  ``CellStats.hook_product`` is the same number, cell by cell."""
+    hooks = [part + j for j, part in enumerate(lam)]
+    return (prod(map(factorial, hooks))
+            // prod([b - a for a, b in combinations(hooks, 2)]))
+
+
 def dimension(lam) -> int:
     """Number of standard tableaux of the shape, d! / product of hooks."""
     p = as_partition(lam)
     num = factorial(p.degree)
-    den = cell_stats(p).hook_product
+    den = _hook_product(p)
     q, r = divmod(num, den)
     assert r == 0, f"hook product does not divide {p.degree}! for {p}"
     return q

@@ -18,10 +18,10 @@ from fractions import Fraction
 from operator import mul
 from typing import TYPE_CHECKING
 
-from ._mnkernel_py import class_columns, class_sums
+from ._mnkernel_py import class_sums
 from .errors import DomainError
-from .genfun import _weights, format_rat, normalizer
-from .partitions import Partition, _check_cap, as_partition, lex_list
+from .genfun import _check_degree, _checked_point, _weights, format_rat, normalizer
+from .partitions import Partition, as_partition, lex_list
 
 if TYPE_CHECKING:
     from .characters import CharacterTable
@@ -124,20 +124,17 @@ def scan(d: int, x: Fraction | None = None, *, table: CharacterTable | None = No
     report.  Without a table, ``_mnkernel_py.class_sums`` computes every
     sum at once by removing border strips from the weights, so no
     character is computed; with one, each is a dot product with a table
-    column.  ``jobs`` is accepted and has no effect.
+    column.  The degree is checked before x = 1/d is formed, and x as
+    ``eval_M`` checks it.  ``jobs`` is accepted and has no effect.
     """
-    # the cap, or the table's degree, is checked before x = 1/d is formed
+    _check_degree(d, table)
+    x = _checked_point(d, Fraction(1, d) if x is None else x)
+    order = lex_list(d) if table is None else table.order
+    scale, weights = _weights(d, order, x)
     if table is None:
-        _check_cap(d)
-        order = lex_list(d)
-        x = Fraction(1, d) if x is None else Fraction(x)
-        scale, weights = _weights(d, order, x)
         sums = class_sums(order, weights)
     else:
-        order, columns = class_columns(d, table=table)
-        x = Fraction(1, d) if x is None else Fraction(x)
-        scale, weights = _weights(d, order, x)
-        sums = [sum(map(mul, column, weights)) for column in columns]
+        sums = [sum(map(mul, column, weights)) for column in zip(*table.values)]
     violations, ties = _classify(sums)
     return ScanReport(
         degree=d,

@@ -20,7 +20,7 @@ from fractions import Fraction
 from functools import partial
 from math import factorial
 
-from ._mnkernel_py import class_columns
+from . import _mnkernel_py
 from .characters import build_table, verify_table
 from .cli import LEVELS
 from .genfun import (
@@ -107,10 +107,10 @@ def tables_verify(degrees):
 
 def conjugate_sign_symmetry(degrees):
     for d in degrees:
-        shapes, columns = class_columns(d)
+        shapes = lex_list(d)
         pos = {lam: i for i, lam in enumerate(shapes)}
         flip = [pos[conjugate(lam)] for lam in shapes]
-        for alpha, column in zip(shapes, columns):
+        for alpha, (_, column) in zip(shapes, _mnkernel_py.class_vectors(shapes)):
             sign = -1 if (d - alpha.length) % 2 else 1
             for lam, chi, i in zip(shapes, column, flip):
                 _require(chi == sign * column[i],

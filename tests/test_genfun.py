@@ -3,6 +3,7 @@ import os
 import subprocess
 import sys
 import tracemalloc
+from decimal import Decimal
 from fractions import Fraction
 from math import factorial, prod
 from operator import mul
@@ -13,8 +14,8 @@ from hypothesis import given, strategies as st
 
 from wgmono import _mnkernel_py, genfun, scanner
 from wgmono.characters import CharacterTable
-from wgmono.errors import (CapExceededError, DegreeMismatchError, PoleError,
-                           TableVerificationError)
+from wgmono.errors import (CapExceededError, DegreeMismatchError, DomainError,
+                           PartitionError, PoleError, TableVerificationError)
 from wgmono.genfun import (
     FAMILY_MAX_N,
     catalan,
@@ -93,14 +94,33 @@ class TestEvalM:
             scan(3, Fraction(-1, 2))
 
     def test_degree_mismatch(self, tables):
-        # one table-degree check, in _mnkernel_py.class_columns, for all three
+        # one table-degree check, genfun._check_degree, before the pole
+        # (1/2 is one at degree 3) and before series_coeff's off-support
+        # return (r = 0 and 2 are off the support of 1,2)
         for call in (lambda: eval_M((1, 2), Fraction(1, 5), tables.get(4)),
+                     lambda: eval_M((1, 2), Fraction(1, 2), tables.get(4)),
                      lambda: series_coeff((1, 2), 2, tables.get(4)),
+                     lambda: series_coeff((1, 2), 0, tables.get(4)),
                      lambda: scan(3, table=tables.get(4)),
+                     lambda: scan(3, Fraction(1, 2), table=tables.get(4)),
                      lambda: scan(5, table=tables.get(6))):
             with pytest.raises(DegreeMismatchError,
                                match=r"^degree \d against table of degree \d$"):
                 call()
+
+
+    @pytest.mark.parametrize("x", [0.25, 1 / 3, "1/3", "\u0661/\u0663", Decimal("0.1")])
+    def test_point_must_be_rational(self, x, tables):
+        # Fraction() would read each of these; an int or a Fraction is the point
+        for call in (lambda: eval_M((1, 2), x), lambda: eval_M((1, 2), x, tables.get(3)),
+                     lambda: scan(3, x), lambda: scan(3, x, table=tables.get(3))):
+            with pytest.raises(DomainError, match="^x must be a rational number, got "):
+                call()
+        assert eval_M((1, 2), 0) == 0 and scan(3, 0).x == 0
+
+    def test_float_parts_are_refused(self):
+        with pytest.raises(PartitionError, match="^parts must be integers"):
+            eval_M((1.5, 2.7), Fraction(1, 3))
 
 
 def fraction_weights(table, x):

@@ -1,4 +1,5 @@
 import tracemalloc
+from fractions import Fraction
 from math import factorial
 
 import pytest
@@ -41,6 +42,13 @@ class TestPartitionType:
             Partition((0, 1))
         with pytest.raises(PartitionError):
             Partition((2, 1))
+
+    @pytest.mark.parametrize("parts", [(1.5, 2.7), (1, 2.0), ("\u0661", "2"), ("1", "2"),
+                                       (Fraction(1), 2)])
+    def test_parts_must_be_integers(self, parts):
+        # int() would truncate the floats and read the strings, digits of any script
+        with pytest.raises(PartitionError, match="^parts must be integers, got "):
+            Partition(parts)
 
     def test_degree_length(self):
         p = Partition((1, 1, 7))
@@ -212,7 +220,7 @@ class TestCellStats:
             stats = cell_stats(p)
             assert len(stats.hook_lengths) == d == len(stats.contents)
             assert factorial(d) % stats.hook_product == 0
-            assert dimension(p) > 0
+            assert dimension(p) * stats.hook_product == factorial(d)
 
     @given(partitions_st)
     def test_content_range(self, p):
