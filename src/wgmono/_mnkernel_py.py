@@ -27,9 +27,9 @@ of size r.  ``class_sums`` reads the addition tables of ``_strip_moves``
 as that removal step, with the largest parts removed first.
 
 This module computes characters and nothing else: it takes no table.
-``character_column`` reads one column behind the degree cap
-``partitions.MAX_DEGREE``; whether a caller reads a table or this
-kernel is decided in ``genfun``.
+``character_column`` checks its class and the degree cap
+``partitions.MAX_DEGREE``, then reads one column; ``genfun`` alone
+chooses a table or this kernel, and reads it for ``eval`` and ``coeff``.
 """
 
 from __future__ import annotations
@@ -211,5 +211,6 @@ def character_column(alpha) -> tuple[int, ...]:
     >>> character_column((3,))  # shapes 1^3, 1,2 and 3
     (1, -1, 1)
     """
-    _check_cap(sum(alpha))
-    return tuple(next(class_vectors((as_partition(alpha),)))[1])
+    a = as_partition(alpha) if alpha else ()  # () keeps the degree error
+    _check_cap(sum(a))
+    return tuple(next(class_vectors((a,)))[1])

@@ -41,7 +41,7 @@ from typing import TYPE_CHECKING
 from .errors import (CapExceededError, DegreeMismatchError, DomainError, PoleError,
                      TableVerificationError)
 from .partitions import (DIGITS, INTEGER, Partition, _check_cap, _hook_product,
-                         as_partition, cell_stats, dimension, lex_list)
+                         as_partition, dimension, lex_list)
 
 if TYPE_CHECKING:
     from .characters import CharacterTable
@@ -130,21 +130,27 @@ def table_weights(table: CharacterTable, x: Fraction) -> tuple[Fraction, list[in
 
 def _check_degree(d: int, table: CharacterTable | None) -> None:
     """The degree cap without a table, else the table's degree; with
-    ``_column``, the one place that chooses between a table and the kernel."""
+    ``_support``, the one place that chooses between a table and the kernel."""
     if table is None:
         _check_cap(d)
     elif table.degree != d:
         raise DegreeMismatchError(f"degree {d} against table of degree {table.degree}")
 
 
-def _column(a: Partition, table: CharacterTable | None) -> tuple:
-    """(shapes, chi(shape, a) per shape): the table's order and column, or
-    ``lex_list`` and the kernel's column DP.  Call after ``_check_degree``."""
-    if table is not None:
-        return table.order, table.column(a)
-    from ._mnkernel_py import class_vectors
+def _support(a: Partition, table: CharacterTable | None) -> list[tuple[int, Partition]]:
+    """(chi(shape, a), shape) where chi is nonzero, in ``lex_list(d)`` order (a
+    table's order): the table's column, else the kernel's.  After ``_check_degree``."""
+    from ._mnkernel_py import character_column
 
-    return lex_list(a.degree), next(class_vectors((a,)))[1]
+    shapes, column = ((lex_list(a.degree), character_column(a)) if table is None
+                      else (table.order, table.column(a)))
+    return [(chi, lam) for chi, lam in zip(column, shapes) if chi]
+
+
+def _contents(lam) -> list[int]:
+    """Contents of a stored-form shape: part j of k is row k - 1 - j from the top."""
+    k = len(lam)
+    return [c for j, part in enumerate(lam) for c in range(j + 1 - k, j + 1 - k + part)]
 
 
 def eval_M(alpha, x, table: CharacterTable | None = None) -> Fraction:
@@ -161,8 +167,7 @@ def eval_M(alpha, x, table: CharacterTable | None = None) -> Fraction:
     a = as_partition(alpha)
     _check_degree(a.degree, table)
     x = _checked_point(a.degree, x)
-    shapes, column = _column(a, table)
-    chis, lams = zip(*[(chi, lam) for chi, lam in zip(column, shapes) if chi])
+    chis, lams = zip(*_support(a, table))
     scale, weights = _weights(a.degree, lams, x)
     return scale * sum(map(mul, chis, weights))
 
@@ -194,11 +199,12 @@ def series_coeff(alpha, r: int, table: CharacterTable | None = None) -> int:
     """Number of r-step monotone walks reaching cycle type alpha.
 
     Extracted from the character sum by expanding each shape's
-    1 / prod(1 - c*x) into complete homogeneous sums of the contents;
-    with d!/H_lambda = f^lambda the sum is an integer over d!.  A sum that
-    is not a non-negative multiple of d! can only come from a wrong table,
-    and raises ``TableVerificationError`` (also under ``python -O``).
-    r is capped at ``MAX_R``.
+    1 / prod(1 - c*x) into complete homogeneous sums of the contents, read
+    from the stored form (``_contents``, as in ``_weights``); with
+    d!/H_lambda = f^lambda the sum is an integer over d!.  A sum that is
+    not a non-negative multiple of d! can only come from a wrong table, and
+    raises ``TableVerificationError`` (also under ``python -O``).  r is
+    capped at ``MAX_R``.
 
     The degree is checked first (the cap, or the table's degree).  Without
     a table the column is then read only when r is on the support: a walk
@@ -216,12 +222,9 @@ def series_coeff(alpha, r: int, table: CharacterTable | None = None) -> int:
     gap = r - vanishing_order(a)
     if table is None and (gap < 0 or gap % 2):
         return 0
-    shapes, column = _column(a, table)
     total = 0
-    for chi, lam in zip(column, shapes):
-        if chi:
-            h_r = complete_homogeneous(cell_stats(lam).contents, r)
-            total += chi * dimension(lam) * h_r
+    for chi, lam in _support(a, table):
+        total += chi * dimension(lam) * complete_homogeneous(_contents(lam), r)
     fact = math.factorial(a.degree)
     count, rem = divmod(total, fact)
     if rem or count < 0:

@@ -15,7 +15,6 @@ from __future__ import annotations
 import re
 from bisect import bisect_right
 from collections import namedtuple
-from functools import lru_cache
 from itertools import combinations
 from math import factorial, prod
 from operator import index
@@ -64,11 +63,10 @@ class Partition(tuple):
     __slots__ = ()
 
     def __new__(cls, parts) -> "Partition":
-        t = tuple(parts)
-        try:  # not int(): it truncates 1.5 and reads "١"
-            t = tuple(map(index, t))
+        try:  # not int(): it truncates 1.5 and reads "١"; tuple() refuses 5 and None
+            t = tuple(map(index, parts))
         except TypeError:
-            raise PartitionError(f"parts must be integers, got {t}") from None
+            raise PartitionError(f"parts must be integers, got {parts!r}") from None
         if not t:
             raise PartitionError("partition needs at least one part")
         prev = 1
@@ -195,16 +193,13 @@ class CellStats(namedtuple("CellStats", "hook_lengths contents")):
 
 
 def cell_stats(lam) -> CellStats:
-    """Hook length 1 + arm + leg and content (column - row) per cell.
+    """Hook length 1 + arm + leg and content (column - row) per cell, not
+    cached: the reference for ``_hook_product`` and ``genfun._contents``.
 
     >>> cell_stats(Partition((1, 2)))
     CellStats(hook_lengths=(1, 1, 3), contents=(-1, 0, 1))
     """
-    return _cell_stats(as_partition(lam))
-
-
-@lru_cache(maxsize=None)
-def _cell_stats(p: Partition) -> CellStats:
+    p = as_partition(lam)
     rows = p.rows
     k = len(p)
     # cell (i, j) has hook (rows[i] - i - 1) + (height of column j - j)

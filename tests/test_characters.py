@@ -15,7 +15,7 @@ from wgmono.characters import (
     load_or_build,
     verify_table,
 )
-from wgmono.errors import CapExceededError, TableVerificationError
+from wgmono.errors import CapExceededError, PartitionError, TableVerificationError
 from wgmono.partitions import Partition, cell_stats, class_size, conjugate, lex_list
 from wgmono.scanner import scan
 from wgmono import _mnkernel_py
@@ -82,6 +82,11 @@ class TestMnCharacter:
     def test_degree_zero_rejected(self):
         with pytest.raises(CapExceededError, match="degree must be >= 1, got 0"):
             character_column(())
+
+    def test_parts_checked_before_the_degree(self):
+        # sum() would fail on the strings with TypeError
+        with pytest.raises(PartitionError, match="^parts must be integers, got "):
+            character_column(("1", "2"))
 
     @pytest.mark.parametrize("d", range(1, 11))
     def test_matches_table_every_class(self, d, tables):

@@ -31,7 +31,7 @@ from wgmono.genfun import (
     table_weights,
     vanishing_order,
 )
-from wgmono.partitions import Partition, cell_stats, lex_list
+from wgmono.partitions import Partition, cell_stats, dimension, lex_list
 from wgmono.scanner import scan
 
 
@@ -177,15 +177,19 @@ class TestIntegerPath:
 
     @pytest.mark.parametrize("d", range(11, 21))
     def test_weights_match_cell_stats(self, d):
-        # the first-column hook formula against hooks and contents cell by cell
+        # the first-column hook formula against hooks and contents cell by cell,
+        # and the stored-form contents series_coeff reads against the cells'
         shapes = lex_list(d)
+        stats = [cell_stats(lam) for lam in shapes]
         for x in (Fraction(1, d), Fraction(-3, 7), Fraction(5, 3)):
             p, q = x.numerator, x.denominator
             scale, weights = genfun._weights(d, shapes, x)
-            reference = [Fraction(q ** d, cell_stats(lam).hook_product
-                                  * prod(q - c * p for c in cell_stats(lam).contents))
-                         for lam in shapes]
+            reference = [Fraction(q ** d, cells.hook_product
+                                  * prod(q - c * p for c in cells.contents))
+                         for cells in stats]
             assert [scale * w for w in weights] == reference
+        for lam, cells in zip(shapes, stats):
+            assert sorted(genfun._contents(lam)) == list(cells.contents), lam
 
     @pytest.mark.parametrize("d", range(1, 11))
     def test_scan_and_eval_match_reference(self, d, tables):
@@ -296,6 +300,20 @@ class TestSeriesCoeff:
 
     def test_identity_two_steps(self, tables):
         assert series_coeff((1, 1), 2, tables.get(2)) == 1
+
+    @pytest.mark.parametrize("d", range(8, 13))
+    def test_matches_cell_by_cell_sum(self, d, tables):
+        # (1/d!) sum of chi * f * h_r(contents), with the contents taken cell
+        # by cell, two steps past the minimal length of every class
+        t = tables.get(d)
+        for alpha in t.order:
+            r = vanishing_order(alpha) + 2
+            total = sum(t.chi(lam, alpha) * dimension(lam)
+                        * complete_homogeneous(cell_stats(lam).contents, r)
+                        for lam in t.order)
+            count, rem = divmod(total, factorial(d))
+            assert rem == 0 and count > 0, alpha
+            assert series_coeff(alpha, r) == series_coeff(alpha, r, t) == count, alpha
 
     def test_negative_count_raises(self, tables):
         # chi((4), (2,2)) lowered by 4! keeps the sum a multiple of 4! but

@@ -44,9 +44,10 @@ class TestPartitionType:
             Partition((2, 1))
 
     @pytest.mark.parametrize("parts", [(1.5, 2.7), (1, 2.0), ("\u0661", "2"), ("1", "2"),
-                                       (Fraction(1), 2)])
+                                       (Fraction(1), 2), 5, None])
     def test_parts_must_be_integers(self, parts):
-        # int() would truncate the floats and read the strings, digits of any script
+        # int() would truncate the floats and read the strings, digits of any script;
+        # tuple() would raise TypeError on 5 and None
         with pytest.raises(PartitionError, match="^parts must be integers, got "):
             Partition(parts)
 
