@@ -26,8 +26,15 @@ sum_lambda w_lambda s_lambda, and p_r^perp removes every border strip
 of size r.  ``class_sums`` reads the addition tables of ``_strip_moves``
 as that removal step, with the largest parts removed first.
 
-This module computes characters and nothing else: it takes no table.
-``character_column`` checks its class and the degree cap
+A strip table depends only on (n, r), so the tables live in one store
+for the life of the process: each is built on first use, kept as tuples
+no caller can change, and shared by both DPs and by every call.  The
+store holds at most the 210 tables with n + r <= 20 (46,014 strips,
+about 1.7 MB) at the degree cap, and one call at degree 20 already
+builds most of them.
+
+This module computes characters and nothing else: it takes no character
+table.  ``character_column`` checks its class and the degree cap
 ``partitions.MAX_DEGREE``, then reads one column; ``genfun`` alone
 chooses a table or this kernel, and reads it for ``eval`` and ``coeff``.
 """
@@ -66,7 +73,8 @@ def lex_masks(n: int) -> list[int]:
     return out
 
 
-def _strip_moves(masks: list[int], r: int, at: dict[int, int]) -> list[tuple[list, list]]:
+def _strip_moves(masks: tuple[int, ...], r: int,
+                 at: dict[int, int]) -> tuple[tuple[tuple, tuple], ...]:
     """Per mask, (even, odd): the positions ``at[child]`` of the shapes one
     border strip of size r adds, split by the parity of the strip height.
     """
@@ -83,32 +91,34 @@ def _strip_moves(masks: list[int], r: int, at: dict[int, int]) -> list[tuple[lis
             child = padded ^ low ^ high
             child >>= (~child & (child + 1)).bit_length() - 1  # drop empty rows
             signed[(padded & (high - (low << 1))).bit_count() & 1].append(at[child])
-        out.append(signed)
-    return out
+        out.append((tuple(signed[0]), tuple(signed[1])))
+    return tuple(out)
 
 
-def _strip_tables():
-    """``moves(n, r)``: ``_strip_moves`` from the shapes of n to those of
-    n + r, built on first use; ``size(n)`` is the number of shapes of n.
-    """
-    shapes = {0: [0]}  # size -> masks in lex_list order, for every size reached
-    at = {}  # size -> {mask: position}
-    strips = {}  # (n, r) -> per shape of size n: (plus, minus) positions at n + r
+# The strip store of the module docstring, filled on first use and never
+# emptied.  Two threads may both build a missing entry; they store equal
+# values, so the race costs time only.
+_SHAPES: dict[int, tuple[int, ...]] = {}  # size -> masks in lex_list order
+_AT: dict[int, dict[int, int]] = {}  # size -> {mask: position}
+_STRIPS: dict[tuple[int, int], tuple] = {}  # (n, r) -> _strip_moves(shapes of n, r)
 
-    def masks(n: int) -> list[int]:
-        if n not in shapes:
-            shapes[n] = lex_masks(n)
-        return shapes[n]
 
-    def moves(n: int, r: int):
-        table = strips.get((n, r))
-        if table is None:
-            if n + r not in at:
-                at[n + r] = {m: i for i, m in enumerate(masks(n + r))}
-            table = strips[n, r] = _strip_moves(masks(n), r, at[n + r])
-        return table
+def _shapes(n: int) -> tuple[int, ...]:
+    masks = _SHAPES.get(n)
+    if masks is None:
+        masks = _SHAPES[n] = tuple(lex_masks(n))
+    return masks
 
-    return moves, lambda n: len(masks(n))
+
+def _moves(n: int, r: int) -> tuple[tuple[tuple, tuple], ...]:
+    """``_strip_moves`` from the shapes of n to those of n + r, from the store."""
+    table = _STRIPS.get((n, r))
+    if table is None:
+        at = _AT.get(n + r)
+        if at is None:
+            at = _AT[n + r] = {m: i for i, m in enumerate(_shapes(n + r))}
+        table = _STRIPS[n, r] = _strip_moves(_shapes(n), r, at)
+    return table
 
 
 def _common_prefix(a: tuple, b: tuple) -> int:
@@ -126,7 +136,6 @@ def class_vectors(alphas):
     classes of one degree is ``lex_list(d)`` order.  The vectors are
     never changed after they are yielded.
     """
-    moves, size = _strip_tables()
     stack = [[1]]  # stack[k]: vector of the first k parts of prev
     prev: tuple[int, ...] = ()
     for alpha in sorted({tuple(a) for a in alphas}):
@@ -134,8 +143,8 @@ def class_vectors(alphas):
         del stack[k + 1:]
         n = sum(alpha[:k])
         for r in alpha[k:]:
-            vec = [0] * size(n + r)
-            for c, (plus, minus) in zip(stack[-1], moves(n, r)):
+            vec = [0] * len(_shapes(n + r))
+            for c, (plus, minus) in zip(stack[-1], _moves(n, r)):
                 if c:
                     for i in plus:
                         vec[i] += c
@@ -161,7 +170,6 @@ def class_sums(classes, weights) -> list[int]:
     those vectors.
     """
     classes = [tuple(a) for a in classes]
-    moves, _ = _strip_tables()
     sums = [0] * len(classes)
     stack = [list(weights)]  # stack[k]: after removing the k largest parts of prev
     prev: tuple[int, ...] = ()
@@ -173,7 +181,7 @@ def class_sums(classes, weights) -> list[int]:
         for r in parts[k:]:
             v, u = stack[-1], []
             n -= r
-            for plus, minus in moves(n, r):
+            for plus, minus in _moves(n, r):
                 s = 0
                 for i in plus:
                     s += v[i]
@@ -195,7 +203,7 @@ def compute_columns(masks: list[int], alphas: list[tuple[int, ...]]) -> list[lis
     callers are the benchmark's kernel probe and the tests.
     """
     alphas = [tuple(a) for a in alphas]
-    if any(masks != lex_masks(n) for n in {sum(a) for a in alphas}):
+    if any(tuple(masks) != _shapes(n) for n in {sum(a) for a in alphas}):
         raise ValueError("masks must be lex_masks(d) for the classes' degree d")
     vectors = dict(class_vectors(alphas))
     return [list(vectors[a]) for a in alphas]

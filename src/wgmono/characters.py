@@ -84,21 +84,59 @@ def build_table(d: int, *, jobs: int = 1) -> CharacterTable:
     return CharacterTable(d, tuple(zip(*columns)))
 
 
-def _det_mod(m: list[list[int]]) -> int:
-    """Determinant modulo ``_PRIME`` by elimination; m is reduced and consumed."""
-    det = 1
-    for c in range(len(m)):
-        piv = next((r for r in range(c, len(m)) if m[r][c]), None)
-        if piv is None:
-            return 0
-        if piv != c:
-            m[c], m[piv], det = m[piv], m[c], -det
-        det = det * m[c][c] % _PRIME
-        inv = pow(m[c][c], -1, _PRIME)
+def _det(m: list[list[int]]) -> int:
+    """Determinant of an integer matrix by fraction-free (Bareiss)
+    elimination, so with no inverse: after step c each entry m[r][j] with
+    r, j > c is a minor of order c + 2, so the division by the previous
+    pivot is exact.  m is consumed.
+    """
+    sign, prev = 1, 1
+    for c in range(len(m) - 1):
+        if not m[c][c]:
+            piv = next((r for r in range(c + 1, len(m)) if m[r][c]), None)
+            if piv is None:
+                return 0
+            m[c], m[piv], sign = m[piv], m[c], -sign
+        top = m[c]
+        p = top[c]
         for r in range(c + 1, len(m)):
-            f = m[r][c] * inv % _PRIME
-            m[r] = [(a - f * b) % _PRIME for a, b in zip(m[r], m[c])]
-    return det
+            f = m[r][c]
+            m[r] = [(p * a - f * b) // prev for a, b in zip(m[r], top)]
+        prev = p
+    return sign * m[-1][-1]
+
+
+def _point_values(d: int, order) -> tuple[list[int], list[int]]:
+    """The certificate's values at its point y of F_P^d, seeded by d:
+    s_lam(y) mod P for each lam in ``order``, and the power sums p_k(y)
+    for k = 0..d, each congruent to its value mod P.
+
+    Each Schur value is the Jacobi-Trudi determinant in h, or in e for a
+    shape with more rows than columns, taken over the residues by ``_det``
+    and reduced mod P once.
+    """
+    import random  # here, not at the top: only the certificate draws a point
+
+    rng = random.Random(d)
+    y = [rng.randrange(_PRIME) for _ in range(d)]
+    h, e = [1] + [0] * d, [1] + [0] * d
+    power = [d] + [0] * d
+    for v in y:
+        t = 1
+        for k in range(1, d + 1):
+            h[k] = (h[k] + v * h[k - 1]) % _PRIME
+            t = t * v % _PRIME
+            power[k] += t
+        for k in range(d, 0, -1):
+            e[k] = (e[k] + v * e[k - 1]) % _PRIME
+    h += [0] * d  # negative Jacobi-Trudi indices wrap round into the zeros
+    e += [0] * d
+    schur = []
+    for lam in order:
+        rows, seq = (lam.rows, h) if len(lam) <= lam[-1] else (conjugate(lam).rows, e)
+        schur.append(_det([[seq[r - a + b] for b in range(len(rows))]
+                           for a, r in enumerate(rows)]) % _PRIME)
+    return schur, power
 
 
 def verify_table(table: CharacterTable) -> dict[str, int]:
@@ -132,25 +170,7 @@ def verify_table(table: CharacterTable) -> dict[str, int]:
             raise TableVerificationError(
                 "character bound", f"lambda={lam}, alpha={order[j]}: |{row[j]}| > {f}")
 
-    import random  # here, not at the top: only the certificate draws a point
-
-    rng = random.Random(d)
-    y = [rng.randrange(_PRIME) for _ in range(d)]
-    h, e = [1] + [0] * d, [1] + [0] * d
-    for v in y:
-        for k in range(1, d + 1):
-            h[k] = (h[k] + v * h[k - 1]) % _PRIME
-        for k in range(d, 0, -1):
-            e[k] = (e[k] + v * e[k - 1]) % _PRIME
-    power = [sum(pow(v, k, _PRIME) for v in y) for k in range(d + 1)]
-    h += [0] * d  # negative Jacobi-Trudi indices wrap round into the zeros
-    e += [0] * d
-    schur = []
-    for lam in order:
-        rows, seq = (lam.rows, h) if len(lam) <= lam[-1] else (conjugate(lam).rows, e)
-        schur.append(_det_mod([[seq[r - a + b] for b in range(len(rows))]
-                               for a, r in enumerate(rows)]))
-
+    schur, power = _point_values(d, order)
     for col, mu in zip(zip(*values), order):
         if (sum(map(mul, col, schur)) - prod(power[k] for k in mu)) % _PRIME:
             raise TableVerificationError("frobenius formula", f"alpha={mu}")

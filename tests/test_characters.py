@@ -2,7 +2,7 @@ import hashlib
 import itertools
 import random
 import warnings
-from math import factorial
+from math import factorial, prod
 
 import pytest
 
@@ -18,7 +18,7 @@ from wgmono.characters import (
 from wgmono.errors import CapExceededError, PartitionError, TableVerificationError
 from wgmono.partitions import Partition, cell_stats, class_size, conjugate, lex_list
 from wgmono.scanner import scan
-from wgmono import _mnkernel_py
+from wgmono import _mnkernel_py, characters
 from wgmono._mnkernel_py import character_column
 
 
@@ -178,6 +178,72 @@ def with_values(table, rows):
     return CharacterTable(table.degree, tuple(tuple(r) for r in rows))
 
 
+def det_mod(m):
+    """Reference determinant modulo ``PRIME``: elimination with a modular
+    inverse per pivot; m is reduced and consumed."""
+    det = 1
+    for c in range(len(m)):
+        piv = next((r for r in range(c, len(m)) if m[r][c]), None)
+        if piv is None:
+            return 0
+        if piv != c:
+            m[c], m[piv], det = m[piv], m[c], -det
+        det = det * m[c][c] % PRIME
+        inv = pow(m[c][c], -1, PRIME)
+        for r in range(c + 1, len(m)):
+            f = m[r][c] * inv % PRIME
+            m[r] = [(a - f * b) % PRIME for a, b in zip(m[r], m[c])]
+    return det
+
+
+def reference_point_values(d):
+    """Schur values by ``det_mod`` and power sums by ``pow`` at the
+    certificate's point, drawn as ``verify_table`` draws it."""
+    rng = random.Random(d)
+    y = [rng.randrange(PRIME) for _ in range(d)]
+    h, e = [1] + [0] * d, [1] + [0] * d
+    for v in y:
+        for k in range(1, d + 1):
+            h[k] = (h[k] + v * h[k - 1]) % PRIME
+        for k in range(d, 0, -1):
+            e[k] = (e[k] + v * e[k - 1]) % PRIME
+    h += [0] * d
+    e += [0] * d
+    schur = []
+    for lam in lex_list(d):
+        rows, seq = (lam.rows, h) if len(lam) <= lam[-1] else (conjugate(lam).rows, e)
+        schur.append(det_mod([[seq[r - a + b] for b in range(len(rows))]
+                              for a, r in enumerate(rows)]))
+    return schur, [sum(pow(v, k, PRIME) for v in y) for k in range(d + 1)]
+
+
+def leibniz_det(m):
+    n = len(m)
+    total = 0
+    for perm in itertools.permutations(range(n)):
+        sign = (-1) ** sum(perm[i] > perm[j] for i in range(n) for j in range(i + 1, n))
+        total += sign * prod(m[i][perm[i]] for i in range(n))
+    return total
+
+
+class TestCertificateValues:
+    @pytest.mark.parametrize("d", [*range(1, 17), 20])
+    def test_schur_values_match_modular_elimination(self, d):
+        assert characters._point_values(d, lex_list(d)) == reference_point_values(d)
+
+    def test_det_matches_leibniz(self):
+        # Zeros on and below the diagonal reach the pivot search and the
+        # zero determinant; entries of 127 bits keep the divisions exact.
+        rng = random.Random(26)
+        for case in range(400):
+            n = rng.randint(1, 5)
+            m = [[rng.choice((0, 0, 1, -3, rng.randrange(PRIME))) for _ in range(n)]
+                 for _ in range(n)]
+            assert characters._det([row[:] for row in m]) == leibniz_det(m), case
+        assert characters._det([[0, 1], [0, 2]]) == 0
+        assert characters._det([[0, 1], [1, 0]]) == -1
+
+
 def write_checksummed(path, body):
     digest = hashlib.sha256(body).hexdigest()
     path.write_bytes(body + f"sha256 {digest}\n".encode())
@@ -330,6 +396,75 @@ class TestKernelReference:
             masks, alphas = kernel_inputs([lam], [alpha])
             assert character_column(alpha)[lex_list(lam.degree).index(lam)] == \
                 reference_columns(masks, alphas)[0][0], (lam, alpha)
+
+
+def clear_strip_store():
+    for part in (_mnkernel_py._SHAPES, _mnkernel_py._AT, _mnkernel_py._STRIPS):
+        part.clear()
+
+
+def kernel_results(d):
+    """Every column DP vector and strip-removal sum at degree d, seeded weights."""
+    order, rng = lex_list(d), random.Random(d)
+    weights = [rng.randint(-10 ** 6, 10 ** 6) for _ in order]
+    return (list(_mnkernel_py.class_vectors(order)),
+            _mnkernel_py.class_sums(order, weights),
+            character_column(order[len(order) // 2]))
+
+
+class TestStripStore:
+    @pytest.mark.parametrize("first", [(), (20,), (13, 20), (20, 13, 5)])
+    def test_same_results_cold_or_warm(self, first):
+        cold = {}
+        for d in (7, 13, 20):
+            clear_strip_store()
+            cold[d] = kernel_results(d)
+        clear_strip_store()
+        for d in first:
+            build_table(d)
+            scan(d)
+        for d in (7, 13, 20):
+            assert kernel_results(d) == cold[d], (first, d)
+
+    def test_second_call_builds_nothing(self):
+        clear_strip_store()
+        kernel_results(12)
+        kept = dict(_mnkernel_py._STRIPS)
+        kernel_results(12)
+        build_table(12)
+        assert _mnkernel_py._STRIPS.keys() == kept.keys()
+        assert all(_mnkernel_py._STRIPS[key] is table for key, table in kept.items())
+
+    def test_bounded_at_the_cap(self):
+        import gc
+        import tracemalloc
+
+        clear_strip_store()
+        tracemalloc.start()
+        try:
+            build_table(20)
+            scan(20)
+            for alpha in ("20", "1^20", "1,1,18", "2,4,6,8", "5^4"):
+                character_column(Partition.parse(alpha))
+            gc.collect()
+            snapshot = tracemalloc.take_snapshot()
+        finally:
+            tracemalloc.stop()
+        keys = _mnkernel_py._STRIPS.keys()
+        assert len(keys) <= 210 and all(n + r <= 20 for n, r in keys)
+        store = snapshot.filter_traces(
+            [tracemalloc.Filter(True, _mnkernel_py.__file__)])
+        assert sum(stat.size for stat in store.statistics("filename")) < 4 << 20
+
+    def test_tables_are_tuples(self):
+        kernel_results(11)
+        assert _mnkernel_py._STRIPS
+        for table in _mnkernel_py._STRIPS.values():
+            assert type(table) is tuple
+            for signed in table:
+                assert type(signed) is tuple and len(signed) == 2
+                assert all(type(positions) is tuple for positions in signed)
+        assert all(type(masks) is tuple for masks in _mnkernel_py._SHAPES.values())
 
 
 class TestVerifyTable:
