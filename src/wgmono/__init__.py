@@ -17,8 +17,8 @@ __version__ = "0.1.0"
 _EXPORTS = {
     "errors": ("CapExceededError", "DegreeMismatchError", "DomainError",
                "PartitionError", "PoleError", "TableVerificationError"),
-    "partitions": ("CellStats", "Partition", "cell_stats", "class_size",
-                   "conjugate", "dimension", "lex_list", "lex_successor"),
+    "partitions": ("Partition", "class_size", "conjugate", "dimension", "lex_list",
+                   "lex_successor"),
     "characters": ("CharacterTable", "build_table", "verify_table"),
     "_mnkernel_py": ("character_column",),
     "genfun": ("catalan", "complete_homogeneous", "counterexample_family", "eval_M",

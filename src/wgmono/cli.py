@@ -18,6 +18,21 @@ compiles only those.  The options of every verb are one table,
 ``VERBS``: ``plain_args`` reads a plain command line from it without
 importing ``argparse``, and ``build_parser`` makes from it the
 ``argparse`` parser that prints help and usage errors.
+
+``run`` is the process entry of ``python -m wgmono.cli`` and of the
+installed ``wgmono`` script.  It calls ``gc.freeze()`` before ``main``:
+at exit the interpreter runs full collections over every object alive,
+and most were made at start-up, so freezing them moves them where no
+collection looks.  On a 2-vCPU machine (Python 3.11.7) one ``eval``
+request is about 31 ms of interpreter and ``site``, 10 ms of imports,
+1 ms of work, then 6 ms of exit, which the freeze cuts to 2 ms; ``-X
+importtime`` shows the imports but not the exit.  Most of the 31 ms is
+``site``, which there imports ``certifi`` from a ``.pth`` file
+(``python -S -c pass`` 7 ms, ``python -c pass`` 34 ms), and the objects
+it leaves are most of what the exit walks, so with a lighter ``site``
+the saving is smaller.  The freeze stays out of ``main`` and the
+library: the tests and the benchmark call ``main`` in long-lived
+processes, where frozen cyclic garbage would never be freed.
 """
 
 from __future__ import annotations
@@ -307,5 +322,15 @@ def main(argv: list[str] | None = None) -> int:
     return code
 
 
-if __name__ == "__main__":
+def run() -> None:
+    """The process entry of ``python -m wgmono.cli`` and the ``wgmono``
+    script: freeze the start-up heap (see the module docstring), then exit
+    with the status of ``main``."""
+    import gc
+
+    gc.freeze()
     sys.exit(main())
+
+
+if __name__ == "__main__":
+    run()

@@ -19,7 +19,10 @@ the D_lambda
 
 ``table_weights`` computes the positive scale q^d / L and the integer
 weights L / D_lambda once per point; a value is then one integer dot
-product, and a ``Fraction`` appears only for the final result.
+product, and a ``Fraction`` appears only for the final result.  The
+functions that build or check one import ``fractions`` (and ``numbers``)
+themselves, so ``series_coeff``, which returns an integer, loads neither
+(with ``decimal``, which ``fractions`` imports, about 2 ms of start-up).
 
 ``normalizer(d)`` = (d!)^2 / d^d rescales the value at the distinguished
 point x = 1/d into the compact fractions the scanner reports.
@@ -33,8 +36,6 @@ from __future__ import annotations
 
 import math
 import re
-from fractions import Fraction
-from numbers import Rational
 from operator import mul
 from typing import TYPE_CHECKING
 
@@ -44,6 +45,8 @@ from .partitions import (DIGITS, INTEGER, Partition, _check_cap, _hook_product,
                          as_partition, dimension, lex_list)
 
 if TYPE_CHECKING:
+    from fractions import Fraction
+
     from .characters import CharacterTable
 
 _RAT_RE = re.compile(f"({INTEGER})(?:/({DIGITS}))?")
@@ -51,6 +54,8 @@ _RAT_RE = re.compile(f"({INTEGER})(?:/({DIGITS}))?")
 
 def parse_rat(text: str) -> Fraction:
     """Parse "N/D" or integer "N"; anything else (floats included) is rejected."""
+    from fractions import Fraction
+
     m = _RAT_RE.fullmatch(text.strip())
     if m is None:
         raise ValueError(f"not a rational: {text!r} (expected N or N/D)")
@@ -74,6 +79,8 @@ def catalan(n: int) -> int:
 
 def normalizer(d: int) -> Fraction:
     """Rescale factor (d!)^2 / d^d for values at x = 1/d."""
+    from fractions import Fraction
+
     return Fraction(math.factorial(d) ** 2, d ** d)
 
 
@@ -86,6 +93,9 @@ def _checked_point(d: int, x) -> Fraction:
     lowest terms p/q, 1 - c*x = 0 for an integer c iff p = +-1 and c = p*q,
     so the one test is |p| = 1 and q < d.
     """
+    from fractions import Fraction
+    from numbers import Rational
+
     if not isinstance(x, Rational):
         raise DomainError(f"x must be a rational number, got {x!r}")
     x = Fraction(x)
@@ -103,6 +113,8 @@ def _weights(d: int, shapes, x) -> tuple[Fraction, list[int]]:
     the stored form is row k - 1 - j from the top of the k rows, and its
     contents run up from -(k - 1 - j).
     """
+    from fractions import Fraction
+
     x = _checked_point(d, x)
     p, q = x.numerator, x.denominator
     factors = [q - c * p for c in range(1 - d, d)]  # content c at c + d - 1
@@ -161,6 +173,7 @@ def eval_M(alpha, x, table: CharacterTable | None = None) -> Fraction:
     before any character.  The weights and their lcm cover only the
     shapes where the column is nonzero; the reduced value is the same.
 
+    >>> from fractions import Fraction
     >>> eval_M((2,), Fraction(1, 2))
     Fraction(2, 3)
     """
@@ -228,6 +241,8 @@ def series_coeff(alpha, r: int, table: CharacterTable | None = None) -> int:
     fact = math.factorial(a.degree)
     count, rem = divmod(total, fact)
     if rem or count < 0:
+        from fractions import Fraction
+
         raise TableVerificationError(
             "walk count",
             f"alpha={a}, r={r}: {Fraction(total, fact)} is not a non-negative integer")
@@ -247,6 +262,8 @@ def m0_catalan(alpha) -> int:
 
 def leading_ratio(alpha, beta) -> Fraction:
     """Small-x limit of M_beta / M_alpha for equal-length partitions."""
+    from fractions import Fraction
+
     a, b = as_partition(alpha), as_partition(beta)
     if a.degree != b.degree:
         raise DegreeMismatchError(
@@ -273,6 +290,8 @@ def counterexample_family(n: int) -> tuple[Partition, Partition, Fraction]:
     >>> counterexample_family(5)
     (Partition('1,3^5'), Partition('2^5,6'), Fraction(21, 16))
     """
+    from fractions import Fraction
+
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
     if n > FAMILY_MAX_N:

@@ -13,8 +13,6 @@ both accepted on input; ``str()`` renders the exponent form.
 from __future__ import annotations
 
 import re
-from bisect import bisect_right
-from collections import namedtuple
 from itertools import combinations
 from math import factorial, prod
 from operator import index
@@ -182,40 +180,10 @@ def conjugate(lam) -> Partition:
     return Partition(sorted(cols))
 
 
-class CellStats(namedtuple("CellStats", "hook_lengths contents")):
-    """Hook lengths and contents of a diagram, as sorted multisets."""
-
-    __slots__ = ()
-
-    @property
-    def hook_product(self) -> int:
-        return prod(self.hook_lengths)
-
-
-def cell_stats(lam) -> CellStats:
-    """Hook length 1 + arm + leg and content (column - row) per cell, not
-    cached: the reference for ``_hook_product`` and ``genfun._contents``.
-
-    >>> cell_stats(Partition((1, 2)))
-    CellStats(hook_lengths=(1, 1, 3), contents=(-1, 0, 1))
-    """
-    p = as_partition(lam)
-    rows = p.rows
-    k = len(p)
-    # cell (i, j) has hook (rows[i] - i - 1) + (height of column j - j)
-    down = [k - bisect_right(p, j) - j for j in range(rows[0])]
-    hooks = []
-    contents = []
-    for i, r in enumerate(rows):
-        hooks.extend(map((r - i - 1).__add__, down[:r]))
-        contents.extend(range(-i, r - i))
-    return CellStats(tuple(sorted(hooks)), tuple(sorted(contents)))
-
-
 def _hook_product(lam) -> int:
     """Hook product of a shape in stored form, from its first-column hooks:
     part j has b_j = part + j, and the product is prod(b_j!) / prod(b_i - b_j)
-    over i > j.  ``CellStats.hook_product`` is the same number, cell by cell."""
+    over i > j.  The tests compute the same number cell by cell."""
     hooks = [part + j for j, part in enumerate(lam)]
     return (prod(map(factorial, hooks))
             // prod([b - a for a, b in combinations(hooks, 2)]))

@@ -16,10 +16,12 @@ from wgmono.characters import (
     verify_table,
 )
 from wgmono.errors import CapExceededError, PartitionError, TableVerificationError
-from wgmono.partitions import Partition, cell_stats, class_size, conjugate, lex_list
+from wgmono.partitions import Partition, class_size, conjugate, lex_list
 from wgmono.scanner import scan
 from wgmono import _mnkernel_py, characters
 from wgmono._mnkernel_py import character_column
+
+from cell_reference import cell_stats
 
 
 def frobenius_character(lam, alpha):

@@ -17,6 +17,8 @@ from wgmono.characters import (CharacterTable, build_table, cache_load, cache_st
 from wgmono.partitions import Partition, lex_list
 from wgmono.scanner import scan
 
+from test_cli_corpus import replay
+
 
 def run_cli(capsys, *argv):
     code = cli.main(list(argv))
@@ -171,6 +173,53 @@ class TestClosedPipe:
         assert err == "error: output closed before it was all written\n"
 
 
+class TestProcessEntry:
+    """``python -m wgmono.cli`` runs ``cli.run``, which freezes the heap and
+    exits with ``main``'s status.  No test here calls the real ``run`` in
+    process: it would freeze the test process's heap for good."""
+
+    @pytest.mark.parametrize("argv, status", [
+        (["eval", "--alpha", "1^6,7", "--x", "1/13"], 0),
+        (["coeff", "--alpha", "1^4,2^2", "--r", "6", "--format", "json"], 0),
+        (["scan", "--d", "6", "--format", "csv"], 0),
+        (["eval", "--alpha", "1,,2"], 1),
+        (["scan", "--d", "5", "--format", "xml"], 2),
+        (["--help"], 0),
+    ], ids=["eval", "coeff-json", "scan-csv", "malformed", "bad-format", "help"])
+    def test_process_matches_in_process_main(self, argv, status, monkeypatch):
+        # argparse wraps help and usage to COLUMNS, so both sides get one width
+        monkeypatch.setenv("COLUMNS", "80")
+        src = str(Path(cli.__file__).resolve().parents[1])
+        run = subprocess.run([sys.executable, "-m", "wgmono.cli", *argv],
+                             env=dict(os.environ, PYTHONPATH=src),
+                             capture_output=True, text=True)
+        assert (run.returncode, run.stdout, run.stderr) == replay(argv)
+        assert run.returncode == status
+        if status == 0:
+            assert run.stdout and run.stderr == ""
+        else:
+            assert run.stdout == ""
+            first = "error: " if status == 1 else "usage: "
+            assert run.stderr.startswith(first), run.stderr
+        if status == 1:
+            assert len(run.stderr.splitlines()) == 1, run.stderr
+
+    def test_run_freezes_before_main_and_exits_with_its_status(self):
+        src = str(Path(cli.__file__).resolve().parents[1])
+        run = subprocess.run([sys.executable, "-c",
+                              "import gc\n"
+                              "from wgmono import cli\n"
+                              "assert gc.get_freeze_count() == 0\n"
+                              "def stub():\n"
+                              "    print(gc.get_freeze_count() > 0)\n"
+                              "    return 3\n"
+                              "cli.main = stub\n"
+                              "cli.run()\n"],
+                             env=dict(os.environ, PYTHONPATH=src),
+                             capture_output=True, text=True)
+        assert (run.returncode, run.stdout, run.stderr) == (3, "True\n", "")
+
+
 class TestFamily:
     def test_custom_pair_capped_before_expanding(self, capsys):
         tracemalloc.start()
@@ -260,17 +309,20 @@ class TestStartup:
                      "'dataclasses' in sys.modules, 'hashlib' in sys.modules)") == \
             "['wgmono', 'wgmono.cli', 'wgmono.errors'] False False\n"
 
-    @pytest.mark.parametrize("argv", [["eval", "--alpha", "1^6,7", "--x", "1/13",
-                                       "--format", "text"],
-                                      ["coeff", "--alpha", "1^6,7", "--r", "20",
-                                       "--format", "text"]],
-                             ids=["eval", "coeff"])
-    def test_column_verbs_leave_the_rest_unloaded(self, argv):
+    # eval prints fractions; coeff prints an integer and loads no fractions
+    @pytest.mark.parametrize("argv, unused, fractions", [
+        (["eval", "--alpha", "1^6,7", "--x", "1/13", "--format", "text"],
+         UNUSED_BY_COLUMN, True),
+        (["coeff", "--alpha", "1^6,7", "--r", "20", "--format", "text"],
+         UNUSED_BY_COLUMN + ("fractions", "decimal", "numbers"), False),
+    ], ids=["eval", "coeff"])
+    def test_column_verbs_leave_the_rest_unloaded(self, argv, unused, fractions):
         out = probe("import sys\n"
                     "from wgmono import cli\n"
                     f"assert cli.main({argv!r}) == 0\n"
-                    f"print([m for m in {UNUSED_BY_COLUMN!r} if m in sys.modules])\n")
-        assert out.splitlines()[-1] == "[]"
+                    f"print([m for m in {unused!r} if m in sys.modules], "
+                    "'fractions' in sys.modules)\n")
+        assert out.splitlines()[-1] == f"[] {fractions}"
 
     def test_walks_verb_leaves_the_formula_unloaded(self):
         out = probe("import sys\n"
@@ -391,8 +443,7 @@ class TestSelftest:
 PUBLIC_NAMES = [
     "CapExceededError", "DegreeMismatchError", "DomainError", "PartitionError",
     "PoleError", "TableVerificationError",
-    "CellStats", "Partition", "cell_stats", "class_size",
-    "conjugate", "dimension", "lex_list", "lex_successor",
+    "Partition", "class_size", "conjugate", "dimension", "lex_list", "lex_successor",
     "CharacterTable", "build_table", "character_column", "verify_table",
     "catalan", "complete_homogeneous", "counterexample_family", "eval_M",
     "format_rat", "leading_ratio", "m0_catalan", "normalizer", "parse_rat",

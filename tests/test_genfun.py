@@ -31,8 +31,10 @@ from wgmono.genfun import (
     table_weights,
     vanishing_order,
 )
-from wgmono.partitions import Partition, cell_stats, dimension, lex_list
+from wgmono.partitions import Partition, dimension, lex_list
 from wgmono.scanner import scan
+
+from cell_reference import cell_stats
 
 
 def homogeneous_by_enumeration(values, r):

@@ -10,7 +10,6 @@ from wgmono.genfun import FAMILY_MAX_N
 from wgmono.partitions import (
     MAX_PARSE_DEGREE,
     Partition,
-    cell_stats,
     class_size,
     conjugate,
     dimension,
@@ -18,6 +17,8 @@ from wgmono.partitions import (
     lex_successor,
     parse_int,
 )
+
+from cell_reference import cell_stats
 
 partitions_st = st.lists(st.integers(1, 9), min_size=1, max_size=8).map(
     lambda xs: Partition(sorted(xs)))
