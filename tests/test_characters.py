@@ -1,6 +1,8 @@
 import hashlib
 import itertools
 import random
+import struct
+import tracemalloc
 import warnings
 from math import factorial, prod
 
@@ -262,18 +264,32 @@ def wgct1_body(degree, order, values):
                    + [" ".join(map(str, row)) for row in values])
 
 
-# Damaged WGCT2 bodies of the d = 4 table, as functions of its lines; the
-# last row is the trivial character, "1 1 1 1 1".
+def wgct2_body(degree, values):
+    """The text layout: a header line, then one line of decimal integers per row."""
+    return body_of([f"WGCT2 {degree}"] + [" ".join(map(str, row)) for row in values])
+
+
+# Damaged WGCT3 bodies of the d = 4 table (5 x 5), as functions of its
+# header line and its payload of 25 packed int64 entries, each with the
+# warning it must give.
 DAMAGED_BODIES = {
-    "too few rows": lambda lines: body_of(lines[:-1]),
-    "extra row": lambda lines: body_of(lines + lines[-1:]),
-    "short row": lambda lines: body_of(lines[:-1] + [lines[-1][:-2]]),
-    "long row": lambda lines: body_of(lines[:-1] + [lines[-1] + " 1"]),
-    "non-integer token": lambda lines: body_of(lines[:-1] + ["1 1 1.5 1 1"]),
-    # U+FF11 FULLWIDTH DIGIT ONE, which int() would read as 1
-    "non-ascii bytes": lambda lines: body_of(lines[:-1] + ["1 1 \uff11 1 1"]),
-    "empty body": lambda lines: b"",
-    "wrong degree header": lambda lines: body_of(["WGCT2 5"] + lines[1:]),
+    "too few rows": (lambda head, payload: head + payload[:-40],
+                     "payload of 160 bytes is not 8 n^2 bytes"),
+    "extra row": (lambda head, payload: head + payload + payload[-40:],
+                  "payload of 240 bytes"),
+    "short row": (lambda head, payload: head + payload[:-8], "payload of 192 bytes"),
+    "long row": (lambda head, payload: head + payload + payload[-8:], "payload of 208 bytes"),
+    "payload length not a multiple of 8": (
+        lambda head, payload: head + payload + b"\x00", "payload of 201 bytes"),
+    "non-ascii byte in the header": (
+        lambda head, payload: b"WGCT\xb3 4\n" + payload, "can't decode byte 0xb3"),
+    "empty body": (lambda head, payload: b"", "header '', wanted 'WGCT3 4'"),
+    "header only": (lambda head, payload: head, "payload of 0 bytes"),
+    "wrong degree header": (lambda head, payload: b"WGCT3 5\n" + payload,
+                            "header 'WGCT3 5', wanted 'WGCT3 4'"),
+    # a square payload, but 4 x 4: only the shape check against p(4) = 5 sees it
+    "square payload of another degree": (
+        lambda head, payload: head + payload[:16 * 8], "values are not 5 x 5"),
 }
 
 
@@ -600,7 +616,7 @@ class TestCache:
     def test_corrupted_body(self, tmp_path, tables):
         path = tmp_path / "t4.wgct"
         cache_store(tables.get(4), path)
-        raw = path.read_bytes().replace(b"WGCT2 4", b"WGCT2 5", 1)
+        raw = path.read_bytes().replace(b"WGCT3 4", b"WGCT3 5", 1)
         path.write_bytes(raw)
         with pytest.warns(UserWarning, match="checksum"):
             assert cache_load(4, path) is None
@@ -608,10 +624,11 @@ class TestCache:
     def test_version_mismatch(self, tmp_path, tables):
         path = tmp_path / "t3.wgct"
         cache_store(tables.get(3), path)
-        body = path.read_bytes().split(b"sha256 ")[0].replace(b"WGCT2", b"WGCT3", 1)
+        body = path.read_bytes().rpartition(b"sha256 ")[0].replace(b"WGCT3", b"WGCT4", 1)
         write_checksummed(path, body)
-        with pytest.warns(UserWarning, match="header"):
+        with pytest.warns(UserWarning, match="header 'WGCT4 3', wanted 'WGCT3 3'") as record:
             assert cache_load(3, path) is None
+        assert len(record) == 1
 
     def test_truncation(self, tmp_path, tables):
         path = tmp_path / "t5.wgct"
@@ -623,20 +640,24 @@ class TestCache:
     def test_wrong_degree_requested(self, tmp_path, tables):
         path = tmp_path / "t5.wgct"
         cache_store(tables.get(5), path)
-        with pytest.warns(UserWarning, match="header 'WGCT2 5', wanted 'WGCT2 6'"):
+        with pytest.warns(UserWarning, match="header 'WGCT3 5', wanted 'WGCT3 6'") as record:
             assert cache_load(6, path) is None
+        assert len(record) == 1
 
     @pytest.mark.parametrize("damage", DAMAGED_BODIES.values(),
                              ids=DAMAGED_BODIES.keys())
     def test_damaged_body_one_warning(self, tmp_path, tables, damage):
+        damage, message = damage
         path = tmp_path / "t4.wgct"
         cache_store(tables.get(4), path)
-        lines = path.read_bytes().split(b"sha256 ")[0].decode().splitlines()
-        assert lines[0] == "WGCT2 4" and lines[-1] == "1 1 1 1 1"
-        write_checksummed(path, damage(lines))
+        body = path.read_bytes().rpartition(b"sha256 ")[0]
+        head, payload = body[:8], body[8:]
+        assert head == b"WGCT3 4\n" and payload[-40:] == struct.pack("<5q", *[1] * 5)
+        write_checksummed(path, damage(head, payload))
         with pytest.warns(UserWarning) as record:
             assert cache_load(4, path) is None
-        assert len(record) == 1
+        [warning] = record
+        assert message in str(warning.message)
 
     def test_constructor_checks_shape(self, tables):
         rows = tables.get(4).values
@@ -671,22 +692,31 @@ class TestCache:
         assert str(warning.message).startswith(
             f"not caching character table at {blocker / 'chartable_d3.wgct'}")
 
-    def test_wgct1_file_rewritten_once(self, tmp_path, tables):
-        path = default_cache_path(6, tmp_path)
-        t = tables.get(6)
-        write_checksummed(path, wgct1_body(6, t.order, t.values))
+    @staticmethod
+    def rewritten_once(tmp_path, t, body, header):
+        """An older file of table t is rejected once, then rewritten as WGCT3."""
+        path = default_cache_path(t.degree, tmp_path)
+        write_checksummed(path, body)
         with pytest.warns(UserWarning) as record:
-            assert load_or_build(6, cache_dir=tmp_path) == t
+            assert load_or_build(t.degree, cache_dir=tmp_path) == t
         assert len(record) == 1
-        assert "header 'WGCT1', wanted 'WGCT2 6'" in str(record[0].message)
-        assert path.read_bytes().startswith(b"WGCT2 6\n")
+        assert f"header {header!r}, wanted 'WGCT3 {t.degree}'" in str(record[0].message)
+        assert path.read_bytes().startswith(f"WGCT3 {t.degree}\n".encode())
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            assert load_or_build(6, cache_dir=tmp_path) == t
+            assert load_or_build(t.degree, cache_dir=tmp_path) == t
+
+    def test_wgct1_file_rewritten_once(self, tmp_path, tables):
+        t = tables.get(6)
+        self.rewritten_once(tmp_path, t, wgct1_body(6, t.order, t.values), "WGCT1")
+
+    def test_wgct2_file_rewritten_once(self, tmp_path, tables):
+        t = tables.get(6)
+        self.rewritten_once(tmp_path, t, wgct2_body(6, t.values), "WGCT2 6")
 
     def test_cap_checked_before_any_file_is_read(self, tmp_path):
         # the derived order would cost lex_list(21) before the rows are seen
-        write_checksummed(default_cache_path(21, tmp_path), b"WGCT2 21\n1\n")
+        write_checksummed(default_cache_path(21, tmp_path), b"WGCT3 21\n" + struct.pack("<q", 1))
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(CapExceededError, match="beyond configured maximum 20"):
@@ -708,3 +738,38 @@ class TestCache:
         cache_store(build_table(8), a)
         cache_store(build_table(8), b)
         assert a.read_bytes() == b.read_bytes()
+
+    def test_exact_bytes_at_d3(self, tmp_path, tables):
+        # rows 1^3, 1,2 and 3 in lex order: little-endian int64, row-major
+        path = tmp_path / "t3.wgct"
+        cache_store(tables.get(3), path)
+        body = (b"WGCT3 3\n" + struct.pack("<3q", 1, -1, 1)
+                + struct.pack("<3q", 2, 0, -1) + struct.pack("<3q", 1, 1, 1))
+        digest = hashlib.sha256(body).hexdigest()
+        assert path.read_bytes() == body + f"sha256 {digest}\n".encode("ascii")
+
+    def test_entry_outside_int64_is_not_stored(self, tmp_path, tables, monkeypatch):
+        rows = [list(row) for row in tables.get(3).values]
+        rows[0][0] = 2**63
+        wide = CharacterTable(3, tuple(map(tuple, rows)))
+        with pytest.raises(struct.error):
+            cache_store(wide, tmp_path / "t3.wgct")
+        assert list(tmp_path.iterdir()) == []
+        monkeypatch.setattr(characters, "build_table", lambda d: wide)
+        with pytest.warns(UserWarning) as record:
+            assert load_or_build(3, cache_dir=tmp_path) is wide
+        [warning] = record
+        assert str(warning.message).startswith(
+            f"not caching character table at {tmp_path / 'chartable_d3.wgct'}")
+        assert list(tmp_path.iterdir()) == []
+
+    def test_store_is_streamed(self, tmp_path, tables):
+        # the d = 20 file is 3.1 MB; one row packed at a time stays far below
+        t = tables.get(20)
+        tracemalloc.start()
+        try:
+            cache_store(t, tmp_path / "t20.wgct")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20, peak
