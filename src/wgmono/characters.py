@@ -4,9 +4,10 @@ A :class:`CharacterTable` holds the complete integer table for one
 degree, rows and columns both indexed by the lex-ordered partition list.
 ``build_table`` reads every column from ``_mnkernel_py.class_vectors``,
 the column DP that adds the parts of each class as border strips to the
-empty shape; ``verify_table`` certifies a table.  The command line's
-``eval``, ``coeff`` and ``scan`` build no table and never import this
-module.
+empty shape; ``verify_table`` certifies a table by the Frobenius formula,
+its Schur values from one shared Jacobi-Trudi expansion.  The command
+line's ``eval``, ``coeff`` and ``scan`` build no table and never import
+this module.
 
 Tables persist to a versioned, checksummed file of rows only (the class
 order is always ``lex_list(d)``): the header line ``WGCT3 <d>``, the
@@ -90,26 +91,28 @@ def build_table(d: int, *, jobs: int = 1) -> CharacterTable:
     return CharacterTable(d, tuple(zip(*columns)))
 
 
-def _det(m: list[list[int]]) -> int:
-    """Determinant of an integer matrix by fraction-free (Bareiss)
-    elimination, so with no inverse: after step c each entry m[r][j] with
-    r, j > c is a minor of order c + 2, so the division by the previous
-    pivot is exact.  m is consumed.
+def _schur_values(seq, shapes) -> list[int]:
+    """det(seq[lam_a - a + b]) for each row tuple lam (largest first) in
+    ``shapes``, down the first column: s_lam = sum_i (-1)^i seq[lam_i - i]
+    s_mu(i), mu(i) being lam less row i with each row above it one cell
+    longer, up to the first i with lam_i < i.  The minors are straight
+    shapes again, shared through a memo that lives for this call only.
+    Nothing is divided, so the values are exact in the entries of seq.
     """
-    sign, prev = 1, 1
-    for c in range(len(m) - 1):
-        if not m[c][c]:
-            piv = next((r for r in range(c + 1, len(m)) if m[r][c]), None)
-            if piv is None:
-                return 0
-            m[c], m[piv], sign = m[piv], m[c], -sign
-        top = m[c]
-        p = top[c]
-        for r in range(c + 1, len(m)):
-            f = m[r][c]
-            m[r] = [(p * a - f * b) // prev for a, b in zip(m[r], top)]
-        prev = p
-    return sign * m[-1][-1]
+    memo = {(): 1}
+    def value(rows):
+        v = memo.get(rows)
+        if v is None:
+            v = 0
+            for i, r in enumerate(rows):
+                if r < i:
+                    break
+                t = seq[r - i] * value(tuple(x + 1 for x in rows[:i]) + rows[i + 1:])
+                v = v - t if i & 1 else v + t
+            memo[rows] = v
+        return v
+
+    return [value(rows) for rows in shapes]
 
 
 def _point_values(d: int, order) -> tuple[list[int], list[int]]:
@@ -117,9 +120,9 @@ def _point_values(d: int, order) -> tuple[list[int], list[int]]:
     s_lam(y) mod P for each lam in ``order``, and the power sums p_k(y)
     for k = 0..d, each congruent to its value mod P.
 
-    Each Schur value is the Jacobi-Trudi determinant in h, or in e for a
-    shape with more rows than columns, taken over the residues by ``_det``
-    and reduced mod P once.
+    Each Schur value is the Jacobi-Trudi determinant in h, or in e on the
+    conjugate for a shape with more rows than columns, from one
+    ``_schur_values`` call per sequence, reduced mod P once.
     """
     import random  # here, not at the top: only the certificate draws a point
 
@@ -135,14 +138,11 @@ def _point_values(d: int, order) -> tuple[list[int], list[int]]:
             power[k] += t
         for k in range(d, 0, -1):
             e[k] = (e[k] + v * e[k - 1]) % _PRIME
-    h += [0] * d  # negative Jacobi-Trudi indices wrap round into the zeros
-    e += [0] * d
-    schur = []
-    for lam in order:
-        rows, seq = (lam.rows, h) if len(lam) <= lam[-1] else (conjugate(lam).rows, e)
-        schur.append(_det([[seq[r - a + b] for b in range(len(rows))]
-                           for a, r in enumerate(rows)]) % _PRIME)
-    return schur, power
+    in_h = [len(lam) <= lam[-1] for lam in order]
+    by_h = iter(_schur_values(h, [lam.rows for lam, u in zip(order, in_h) if u]))
+    by_e = iter(_schur_values(e, [conjugate(lam).rows
+                                  for lam, u in zip(order, in_h) if not u]))
+    return [next(by_h if u else by_e) % _PRIME for u in in_h], power
 
 
 def verify_table(table: CharacterTable) -> dict[str, int]:

@@ -221,13 +221,26 @@ def reference_point_values(d):
     return schur, [sum(pow(v, k, PRIME) for v in y) for k in range(d + 1)]
 
 
-def leibniz_det(m):
-    n = len(m)
-    total = 0
-    for perm in itertools.permutations(range(n)):
-        sign = (-1) ** sum(perm[i] > perm[j] for i in range(n) for j in range(i + 1, n))
-        total += sign * prod(m[i][perm[i]] for i in range(n))
-    return total
+def tableau_sum(rows, y):
+    """Sum of y^T over the semistandard tableaux T of shape ``rows`` (largest
+    first) with entries in 1..len(y), filled cell by cell: rows weakly
+    increasing, columns strictly increasing."""
+    cells = [(a, b) for a, r in enumerate(rows) for b in range(r)]
+    filling = {}
+
+    def fill(k):
+        if k == len(cells):
+            return prod(y[filling[c] - 1] for c in cells)
+        a, b = cells[k]
+        total = 0
+        for v in range(max(filling.get((a, b - 1), 1), filling.get((a - 1, b), 0) + 1),
+                       len(y) + 1):
+            filling[a, b] = v
+            total += fill(k + 1)
+        filling.pop((a, b), None)
+        return total
+
+    return fill(0)
 
 
 class TestCertificateValues:
@@ -235,17 +248,19 @@ class TestCertificateValues:
     def test_schur_values_match_modular_elimination(self, d):
         assert characters._point_values(d, lex_list(d)) == reference_point_values(d)
 
-    def test_det_matches_leibniz(self):
-        # Zeros on and below the diagonal reach the pivot search and the
-        # zero determinant; entries of 127 bits keep the divisions exact.
-        rng = random.Random(26)
-        for case in range(400):
-            n = rng.randint(1, 5)
-            m = [[rng.choice((0, 0, 1, -3, rng.randrange(PRIME))) for _ in range(n)]
-                 for _ in range(n)]
-            assert characters._det([row[:] for row in m]) == leibniz_det(m), case
-        assert characters._det([[0, 1], [0, 2]]) == 0
-        assert characters._det([[0, 1], [1, 0]]) == -1
+    @pytest.mark.parametrize("d", range(1, 7))
+    def test_expansion_matches_tableau_sums(self, d):
+        # Exact integers at y = (1, ..., d); h and e are sums over multisets
+        # and sets, so the reference uses no Jacobi-Trudi.  Both calls run in
+        # one process, so a memo that outlived a call would show.
+        y = list(range(1, d + 1))
+        h = [sum(map(prod, itertools.combinations_with_replacement(y, k)))
+             for k in range(d + 1)]
+        e = [sum(map(prod, itertools.combinations(y, k))) for k in range(d + 1)]
+        shapes = lex_list(d)
+        want = [tableau_sum(lam.rows, y) for lam in shapes]
+        assert characters._schur_values(h, [lam.rows for lam in shapes]) == want
+        assert characters._schur_values(e, [conjugate(lam).rows for lam in shapes]) == want
 
 
 def write_checksummed(path, body):
