@@ -5,7 +5,8 @@ degree, rows and columns both indexed by the lex-ordered partition list.
 ``build_table`` reads every column from ``_mnkernel_py.class_vectors``,
 the column DP that adds the parts of each class as border strips to the
 empty shape; ``verify_table`` certifies a table by the Frobenius formula,
-its Schur values from one shared Jacobi-Trudi expansion.  The command
+its Schur values from one Jacobi-Trudi expansion in the complete
+homogeneous sums, shared by every shape of the degree.  The command
 line's ``eval``, ``coeff`` and ``scan`` build no table and never import
 this module.
 
@@ -31,7 +32,7 @@ from operator import mul
 
 from . import _mnkernel_py
 from .errors import TableVerificationError
-from .partitions import MAX_DEGREE, _check_cap, as_partition, conjugate, dimension, lex_list
+from .partitions import MAX_DEGREE, _check_cap, as_partition, dimension, lex_list
 
 CACHE_MAGIC = "WGCT3"
 CACHE_ENV = "WG_CACHE_DIR"
@@ -120,15 +121,15 @@ def _point_values(d: int, order) -> tuple[list[int], list[int]]:
     s_lam(y) mod P for each lam in ``order``, and the power sums p_k(y)
     for k = 0..d, each congruent to its value mod P.
 
-    Each Schur value is the Jacobi-Trudi determinant in h, or in e on the
-    conjugate for a shape with more rows than columns, from one
-    ``_schur_values`` call per sequence, reduced mod P once.
+    Every Schur value is the Jacobi-Trudi determinant in the complete
+    homogeneous sums h, from one ``_schur_values`` call over all of
+    ``order``, reduced mod P once.
     """
     import random  # here, not at the top: only the certificate draws a point
 
     rng = random.Random(d)
     y = [rng.randrange(_PRIME) for _ in range(d)]
-    h, e = [1] + [0] * d, [1] + [0] * d
+    h = [1] + [0] * d
     power = [d] + [0] * d
     for v in y:
         t = 1
@@ -136,13 +137,7 @@ def _point_values(d: int, order) -> tuple[list[int], list[int]]:
             h[k] = (h[k] + v * h[k - 1]) % _PRIME
             t = t * v % _PRIME
             power[k] += t
-        for k in range(d, 0, -1):
-            e[k] = (e[k] + v * e[k - 1]) % _PRIME
-    in_h = [len(lam) <= lam[-1] for lam in order]
-    by_h = iter(_schur_values(h, [lam.rows for lam, u in zip(order, in_h) if u]))
-    by_e = iter(_schur_values(e, [conjugate(lam).rows
-                                  for lam, u in zip(order, in_h) if not u]))
-    return [next(by_h if u else by_e) % _PRIME for u in in_h], power
+    return [s % _PRIME for s in _schur_values(h, [lam.rows for lam in order])], power
 
 
 def verify_table(table: CharacterTable) -> dict[str, int]:
