@@ -35,7 +35,7 @@ builds most of them.
 
 This module computes characters and nothing else: it takes no character
 table.  ``character_column`` checks its class and the degree cap
-``partitions.MAX_DEGREE``, then reads one column; ``genfun`` alone
+``errors.CAPS["degree"]``, then reads one column; ``genfun`` alone
 chooses a table or this kernel, and reads it for ``eval`` and ``coeff``.
 """
 
@@ -212,7 +212,7 @@ def compute_columns(masks: list[int], alphas: list[tuple[int, ...]]) -> list[lis
 def character_column(alpha) -> tuple[int, ...]:
     """chi(lam, alpha) for every shape lam in ``lex_list(d)``.
 
-    d is at most ``partitions.MAX_DEGREE``.  The column DP visits only the
+    d is at most ``errors.CAPS["degree"]``.  The column DP visits only the
     degrees the class's prefix sums reach, so a class with few parts costs
     little more than its last level.
 

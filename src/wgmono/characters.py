@@ -4,11 +4,13 @@ A :class:`CharacterTable` holds the complete integer table for one
 degree, rows and columns both indexed by the lex-ordered partition list.
 ``build_table`` reads every column from ``_mnkernel_py.class_vectors``,
 the column DP that adds the parts of each class as border strips to the
-empty shape; ``verify_table`` certifies a table by the Frobenius formula,
-its Schur values from one Jacobi-Trudi expansion in the complete
-homogeneous sums, shared by every shape of the degree.  The command
-line's ``eval``, ``coeff`` and ``scan`` build no table and never import
-this module.
+empty shape, for degrees up to the cap ``errors.CAPS["degree"]``;
+``verify_table`` certifies a table by the Frobenius formula, its Schur
+values from one Jacobi-Trudi expansion in the complete homogeneous
+sums, shared by every shape of the degree through a memo that reference
+counting frees when the expansion returns.  The command line's
+``eval``, ``coeff`` and ``scan`` build no table and never import this
+module.
 
 Tables persist to a versioned, checksummed file of rows only (the class
 order is always ``lex_list(d)``): the header line ``WGCT3 <d>``, the
@@ -32,7 +34,7 @@ from operator import mul
 
 from . import _mnkernel_py
 from .errors import TableVerificationError
-from .partitions import MAX_DEGREE, _check_cap, as_partition, dimension, lex_list
+from .partitions import _check_cap, as_partition, dimension, lex_list
 
 CACHE_MAGIC = "WGCT3"
 CACHE_ENV = "WG_CACHE_DIR"
@@ -83,7 +85,7 @@ class CharacterTable:
 
 
 def build_table(d: int, *, jobs: int = 1) -> CharacterTable:
-    """Build the complete table for degree d, at most ``MAX_DEGREE``.
+    """Build the complete table for degree d, at most ``errors.CAPS["degree"]``.
 
     The build runs in one process; ``jobs`` is accepted and has no effect.
     """
@@ -97,7 +99,9 @@ def _schur_values(seq, shapes) -> list[int]:
     ``shapes``, down the first column: s_lam = sum_i (-1)^i seq[lam_i - i]
     s_mu(i), mu(i) being lam less row i with each row above it one cell
     longer, up to the first i with lam_i < i.  The minors are straight
-    shapes again, shared through a memo that lives for this call only.
+    shapes again, shared through a memo that lives for this call only:
+    ``value`` refers to itself, so it is deleted before the return, and
+    reference counting frees the memo then, with no collector pass.
     Nothing is divided, so the values are exact in the entries of seq.
     """
     memo = {(): 1}
@@ -113,7 +117,9 @@ def _schur_values(seq, shapes) -> list[int]:
             memo[rows] = v
         return v
 
-    return [value(rows) for rows in shapes]
+    out = [value(rows) for rows in shapes]
+    del value
+    return out
 
 
 def _point_values(d: int, order) -> tuple[list[int], list[int]]:

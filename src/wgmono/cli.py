@@ -40,7 +40,7 @@ from __future__ import annotations
 import os
 import sys
 
-from .errors import DomainError, TableVerificationError
+from .errors import CAPS, DomainError, TableVerificationError
 
 # The selftest levels, nested: each runs the checks of the ones before it.
 # Their home is here so that reading the options does not import selftest.
@@ -177,9 +177,9 @@ def _cmd_eval(args) -> int:
     from fractions import Fraction
 
     from .genfun import eval_M, format_rat, normalizer, parse_rat
-    from .partitions import MAX_DEGREE, Partition
+    from .partitions import Partition
 
-    alpha = Partition.parse(args.alpha, MAX_DEGREE)
+    alpha = Partition.parse(args.alpha, CAPS["degree"])
     d = alpha.degree
     x = parse_rat(args.x) if args.x is not None else Fraction(1, d)
     value = eval_M(alpha, x)
@@ -195,9 +195,9 @@ def _cmd_eval(args) -> int:
 
 def _cmd_coeff(args) -> int:
     from .genfun import series_coeff
-    from .partitions import MAX_DEGREE, Partition
+    from .partitions import Partition
 
-    alpha = Partition.parse(args.alpha, MAX_DEGREE)
+    alpha = Partition.parse(args.alpha, CAPS["degree"])
     count = str(series_coeff(alpha, args.r))
     _print_record(args.format, {"alpha": alpha, "r": args.r, "count": count}, count)
     return 0
@@ -205,7 +205,7 @@ def _cmd_coeff(args) -> int:
 
 def _cmd_scan(args) -> int:
     from .genfun import format_rat, parse_rat
-    from .partitions import MAX_DEGREE, Partition
+    from .partitions import Partition
     from .scanner import interval_stat, scan
 
     x = parse_rat(args.x) if args.x is not None else None
@@ -214,8 +214,8 @@ def _cmd_scan(args) -> int:
         if args.low is None or args.high is None:
             raise DomainError("--low and --high must be given together")
         # both bounds before any character: a bound's degree is capped like --d
-        bounds = (Partition.parse(args.low, MAX_DEGREE),
-                  Partition.parse(args.high, MAX_DEGREE))
+        bounds = (Partition.parse(args.low, CAPS["degree"]),
+                  Partition.parse(args.high, CAPS["degree"]))
         if args.format == "csv":
             raise DomainError("--low/--high need --format text or json")
     report = scan(args.d, x)

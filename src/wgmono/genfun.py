@@ -24,6 +24,10 @@ functions that build or check one import ``fractions`` (and ``numbers``)
 themselves, so ``series_coeff``, which returns an integer, loads neither
 (with ``decimal``, which ``fractions`` imports, about 2 ms of start-up).
 
+Every size cap is read from ``errors.CAPS``: the degree through
+``partitions._check_cap``, r in ``series_coeff`` and n in
+``counterexample_family``, each checked before any big-integer work.
+
 ``normalizer(d)`` = (d!)^2 / d^d rescales the value at the distinguished
 point x = 1/d into the compact fractions the scanner reports.
 
@@ -39,8 +43,8 @@ import re
 from operator import mul
 from typing import TYPE_CHECKING
 
-from .errors import (CapExceededError, DegreeMismatchError, DomainError, PoleError,
-                     TableVerificationError)
+from .errors import (CAPS, CapExceededError, DegreeMismatchError, DomainError,
+                     PoleError, TableVerificationError)
 from .partitions import (DIGITS, INTEGER, Partition, _check_cap, _hook_product,
                          as_partition, dimension, lex_list)
 
@@ -193,19 +197,11 @@ def complete_homogeneous(values, r: int) -> int:
     """
     if r < 0:
         raise ValueError(f"negative degree {r}")
-    acc = [0] * (r + 1)
-    acc[0] = 1
+    acc = [1] + [0] * r
     for v in values:
         for j in range(1, r + 1):
             acc[j] += v * acc[j - 1]
     return acc[r]
-
-
-# Walk lengths above this cap are rejected before any column or list is
-# built.  From r = 14,300 on the smallest nonzero count at degree 3 and up
-# has more digits than Python's default 4300-digit limit on int-to-str
-# conversion, so no count at d >= 3 above the cap could be printed.
-MAX_R = 15_000
 
 
 def series_coeff(alpha, r: int, table: CharacterTable | None = None) -> int:
@@ -217,7 +213,7 @@ def series_coeff(alpha, r: int, table: CharacterTable | None = None) -> int:
     d!/H_lambda = f^lambda the sum is an integer over d!.  A sum that is
     not a non-negative multiple of d! can only come from a wrong table, and
     raises ``TableVerificationError`` (also under ``python -O``).  r is
-    capped at ``MAX_R``.
+    capped at ``errors.CAPS["r"]`` before any column or list is built.
 
     The degree is checked first (the cap, or the table's degree).  Without
     a table the column is then read only when r is on the support: a walk
@@ -228,8 +224,7 @@ def series_coeff(alpha, r: int, table: CharacterTable | None = None) -> int:
     """
     if r < 0:
         raise ValueError(f"negative length {r}")
-    if r > MAX_R:
-        raise CapExceededError(f"r {r} beyond configured maximum {MAX_R}")
+    CapExceededError.check("r", r, CAPS["r"])
     a = as_partition(alpha)
     _check_degree(a.degree, table)
     gap = r - vanishing_order(a)
@@ -275,17 +270,13 @@ def leading_ratio(alpha, beta) -> Fraction:
     return Fraction(m0_catalan(b), m0_catalan(a))
 
 
-# The largest n whose ratio Cat_n / 2^n still prints under Python's default
-# 4300-digit limit on int-to-str conversion.
-FAMILY_MAX_N = 7156
-
-
 def counterexample_family(n: int) -> tuple[Partition, Partition, Fraction]:
     """The equal-length pair whose small-x ratio grows without bound.
 
     alpha = (1, 3^n) precedes beta = (2^n, n+1) in dictionary order, yet
     the limiting ratio Cat_n / 2^n exceeds 1 from n = 5 on.  n is capped
-    at ``FAMILY_MAX_N`` before any big-integer work.
+    at ``errors.CAPS["n"]``, the largest n whose ratio still prints under
+    Python's 4,300-digit limit, before any big-integer work.
 
     >>> counterexample_family(5)
     (Partition('1,3^5'), Partition('2^5,6'), Fraction(21, 16))
@@ -294,8 +285,7 @@ def counterexample_family(n: int) -> tuple[Partition, Partition, Fraction]:
 
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
-    if n > FAMILY_MAX_N:
-        raise CapExceededError(f"n {n} beyond configured maximum {FAMILY_MAX_N}")
+    CapExceededError.check("n", n, CAPS["n"])
     alpha = Partition((1,) + (3,) * n)
     beta = Partition((2,) * n + (n + 1,))
     assert alpha.degree == beta.degree == 3 * n + 1

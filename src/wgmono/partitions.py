@@ -17,7 +17,7 @@ from itertools import combinations
 from math import factorial, prod
 from operator import index
 
-from .errors import CapExceededError, PartitionError
+from .errors import CAPS, CapExceededError, PartitionError
 
 # The one grammar of a written number: ASCII digits.  ``\d`` and ``int()``
 # also take the digits of other scripts, and ``int()`` takes underscores.
@@ -33,20 +33,13 @@ def parse_int(text: str) -> int:
         raise ValueError(f"not an integer: {text!r}")
     return int(text)
 
-# The largest degree any entry point accepts: the largest built-in family
-# pair, 3 * genfun.FAMILY_MAX_N + 1.  ``Partition.parse`` checks it by default.
-MAX_PARSE_DEGREE = 21469
-
-# The largest degree whose characters the package computes: every table,
-# column, eval, coeff and scan checks it through ``_check_cap``.
-MAX_DEGREE = 20
-
 
 def _check_cap(d: int) -> None:
+    """The degree cap of every character computation: every table, column,
+    eval, coeff and scan checks ``CAPS["degree"]`` here."""
     if d < 1:
         raise CapExceededError(f"degree must be >= 1, got {d}")
-    if d > MAX_DEGREE:
-        raise CapExceededError.for_degree(d, MAX_DEGREE)
+    CapExceededError.check("degree", d, CAPS["degree"])
 
 
 class Partition(tuple):
@@ -89,10 +82,11 @@ class Partition(tuple):
         return tuple(reversed(self))
 
     @classmethod
-    def parse(cls, text: str, max_degree: int = MAX_PARSE_DEGREE) -> "Partition":
+    def parse(cls, text: str, max_degree: int = CAPS["parse_degree"]) -> "Partition":
         """Parse "1,1,2" or the exponent shorthand "1^2,2".
 
-        The degree is checked against ``max_degree`` before ``p^mult`` is expanded.
+        The degree is checked against ``max_degree`` before ``p^mult`` is
+        expanded; by default that is the largest built-in family pair's.
 
         >>> Partition.parse("1^6,7")
         Partition('1^6,7')
@@ -108,8 +102,7 @@ class Partition(tuple):
                 raise PartitionError(f"exponent must be >= 1 in {text!r}")
             pairs.append((p, mult))
         degree = sum(p * mult for p, mult in pairs)
-        if degree > max_degree:
-            raise CapExceededError.for_degree(degree, max_degree)
+        CapExceededError.check("degree", degree, max_degree)
         return cls(p for p, mult in pairs for _ in range(mult))
 
     def __str__(self) -> str:

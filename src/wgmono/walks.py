@@ -14,8 +14,10 @@ character-formula series coefficients and for their constancy on classes.
 The comparison with the formula lives in ``selftest.walk_oracle``, so this
 module imports no character code.
 
-Degrees are capped at 7 and lengths at 12, as hard errors.  The degree
-cap is where the cost jumps: d = 8 holds 8 times the counts of d = 7
+Degrees are capped at 7 and lengths at 12, as hard errors; both caps
+live in ``errors.CAPS`` (``walk_degree``, ``walk_length``), and the
+refusal names the supported range, not the cap alone.  The degree cap
+is where the cost jumps: d = 8 holds 8 times the counts of d = 7
 and, at R = 12, takes 1.3 s and 46 MB against 0.09 s and 19 MB (one
 run, 2 vCPU).  Each length adds only one count per permutation (d = 7,
 R = 24: 0.17 s), so the length cap bounds the envelope the tests cover,
@@ -28,11 +30,8 @@ import itertools
 from collections import namedtuple
 from operator import itemgetter
 
-from .errors import CapExceededError
+from .errors import CAPS, CapExceededError
 from .partitions import Partition
-
-MAX_DEGREE = 7
-MAX_LENGTH = 12
 
 
 def cycle_type(perm: tuple[int, ...]) -> Partition:
@@ -64,10 +63,10 @@ class WalkCounts(namedtuple("WalkCounts", "degree max_length per_permutation per
 
 def enumerate_counts(d: int, R: int) -> WalkCounts:
     """Monotone walk counts for every permutation and length r <= R."""
-    if not 2 <= d <= MAX_DEGREE:
-        raise CapExceededError(f"degree {d} outside supported range 2..{MAX_DEGREE}")
-    if not 0 <= R <= MAX_LENGTH:
-        raise CapExceededError(f"length {R} outside supported range 0..{MAX_LENGTH}")
+    for what, v, lo, hi in (("degree", d, 2, CAPS["walk_degree"]),
+                            ("length", R, 0, CAPS["walk_length"])):
+        if not lo <= v <= hi:
+            raise CapExceededError(f"{what} {v} outside supported range {lo}..{hi}")
 
     perms = list(itertools.permutations(range(d)))
     index = {p: i for i, p in enumerate(perms)}

@@ -1,3 +1,4 @@
+import gc
 import hashlib
 import itertools
 import random
@@ -261,6 +262,28 @@ class TestCertificateValues:
         want = [tableau_sum(lam.rows, y) for lam in shapes]
         assert characters._schur_values(h, [lam.rows for lam in shapes]) == want
         assert characters._schur_values(e, [conjugate(lam).rows for lam in shapes]) == want
+
+    def test_schur_memo_freed_on_return(self):
+        # The memo's closure refers to itself.  Unless the call breaks that
+        # cycle, the memo (about 600 KB at d = 20) outlives it until a
+        # collector pass, which is off here.  The first call fills the
+        # interpreter's free lists, which tracemalloc would otherwise count.
+        order = lex_list(20)
+        enabled = gc.isenabled()
+        gc.disable()
+        try:
+            characters._point_values(20, order)
+            tracemalloc.start()
+            try:
+                characters._point_values(20, order)
+                snapshot = tracemalloc.take_snapshot()
+            finally:
+                tracemalloc.stop()
+        finally:
+            if enabled:
+                gc.enable()
+        ours = snapshot.filter_traces([tracemalloc.Filter(True, characters.__file__)])
+        assert sum(stat.size for stat in ours.statistics("filename")) < 64 << 10
 
 
 def write_checksummed(path, body):

@@ -14,6 +14,7 @@ from hypothesis import given, strategies as st
 from wgmono import _mnkernel_py, characters, cli, selftest
 from wgmono.characters import (CharacterTable, build_table, cache_load, cache_store,
                                default_cache_path)
+from wgmono.errors import CAPS
 from wgmono.partitions import Partition, lex_list
 from wgmono.scanner import scan
 
@@ -237,6 +238,77 @@ class TestFamily:
         custom = run_cli(capsys, "family", "--alpha", "1,3^7156", "--beta", "2^7156,7157")
         assert custom == run_cli(capsys, "family", "--n", "7156")
         assert custom[0] == 0
+
+
+def cap_cases():
+    """(cap, a request at the bound, the request one past it, its refusal)
+    for every cap of ``errors.CAPS``, each read from the table."""
+    d, wd, wr = CAPS["degree"], CAPS["walk_degree"], CAPS["walk_length"]
+    r, n, p = CAPS["r"], CAPS["n"], CAPS["parse_degree"]
+    walks = ["walks", "--d", str(wd), "--R", str(wr)]
+    return [
+        ("degree", ["scan", "--d", str(d)], ["scan", "--d", str(d + 1)],
+         f"degree {d + 1} beyond configured maximum {d}"),
+        ("degree", ["eval", "--alpha", f"1^{d}"], ["eval", "--alpha", f"1^{d - 1},2"],
+         f"degree {d + 1} beyond configured maximum {d}"),
+        ("degree", ["coeff", "--alpha", f"1^{d}", "--r", "38"],
+         ["coeff", "--alpha", f"1^{d + 1}", "--r", "38"],
+         f"degree {d + 1} beyond configured maximum {d}"),
+        ("walk_degree", walks, ["walks", "--d", str(wd + 1), "--R", str(wr)],
+         f"degree {wd + 1} outside supported range 2..{wd}"),
+        ("walk_length", walks, ["walks", "--d", str(wd), "--R", str(wr + 1)],
+         f"length {wr + 1} outside supported range 0..{wr}"),
+        ("r", ["coeff", "--alpha", "2", "--r", str(r)],
+         ["coeff", "--alpha", "2", "--r", str(r + 1)],
+         f"r {r + 1} beyond configured maximum {r}"),
+        ("n", ["family", "--n", str(n)], ["family", "--n", str(n + 1)],
+         f"n {n + 1} beyond configured maximum {n}"),
+        # the largest built-in pair as a custom one, then each a part longer
+        ("parse_degree", ["family", "--alpha", f"1,3^{n}", "--beta", f"2^{n},{n + 1}"],
+         ["family", "--alpha", f"1^2,3^{n}", "--beta", f"1,2^{n},{n + 1}"],
+         f"degree {p + 1} beyond configured maximum {p}"),
+    ]
+
+
+# The traced peak each cap's comment in ``errors.CAPS`` allows at its bound,
+# for the request that allocates most there.
+PEAK_BUDGETS = {
+    "degree": (["scan", "--d", str(CAPS["degree"]), "--format", "json"], 4 << 20),
+    "walk_degree": (["walks", "--d", str(CAPS["walk_degree"]),
+                     "--R", str(CAPS["walk_length"])], 6 << 20),
+    "n": (["family", "--n", str(CAPS["n"])], 1 << 20),
+    "parse_degree": (["family", "--alpha", f"1,3^{CAPS['n']}",
+                      "--beta", f"2^{CAPS['n']},{CAPS['n'] + 1}"], 1 << 20),
+}
+
+
+class TestCaps:
+    @pytest.mark.parametrize("cap, at, past, refusal", cap_cases(),
+                             ids=[f"{c[0]} {c[1][0]}" for c in cap_cases()])
+    def test_bound_runs_and_one_past_is_one_error_line(self, capsys, cap, at, past,
+                                                        refusal):
+        code, out, err = run_cli(capsys, *at)
+        assert (code, err) == (0, "") and out
+        assert run_cli(capsys, *past) == (1, "", f"error: {refusal}\n")
+
+    def test_every_cap_is_tested(self):
+        assert {case[0] for case in cap_cases()} == set(CAPS)
+        assert set(PEAK_BUDGETS) <= set(CAPS)
+
+    @pytest.mark.parametrize("cap", sorted(PEAK_BUDGETS))
+    def test_peak_at_bound_within_the_stated_memory(self, cap):
+        # a fresh process, with the modules loaded before tracing: the
+        # request's own allocations, strip tables included
+        argv, budget = PEAK_BUDGETS[cap]
+        peak = probe("import contextlib, csv, fractions, io, json, tracemalloc\n"
+                     "from wgmono import cli, genfun, scanner, walks\n"
+                     "tracemalloc.start()\n"
+                     "with contextlib.redirect_stdout(io.StringIO()):\n"
+                     f"    code = cli.main({argv!r})\n"
+                     "print(code, tracemalloc.get_traced_memory()[1])\n")
+        code, peak = map(int, peak.split())
+        assert code == 0
+        assert peak < budget
 
 
 # Requests on the classes whose rows the poisoned table swaps.

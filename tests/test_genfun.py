@@ -14,10 +14,9 @@ from hypothesis import given, strategies as st
 
 from wgmono import _mnkernel_py, genfun, scanner
 from wgmono.characters import CharacterTable
-from wgmono.errors import (CapExceededError, DegreeMismatchError, DomainError,
+from wgmono.errors import (CAPS, CapExceededError, DegreeMismatchError, DomainError,
                            PartitionError, PoleError, TableVerificationError)
 from wgmono.genfun import (
-    FAMILY_MAX_N,
     catalan,
     complete_homogeneous,
     counterexample_family,
@@ -437,9 +436,9 @@ class TestCounterexampleFamily:
 
     def test_cap_prints(self):
         # the largest n whose ratio still converts to decimal text
-        ratio = counterexample_family(FAMILY_MAX_N)[2]
+        ratio = counterexample_family(CAPS["n"])[2]
         assert format_rat(ratio).startswith(str(ratio.numerator))
-        n = FAMILY_MAX_N + 1
+        n = CAPS["n"] + 1
         with pytest.raises(ValueError, match="integer string conversion"):
             format_rat(Fraction(catalan(n), 2 ** n))
 
@@ -447,9 +446,9 @@ class TestCounterexampleFamily:
         tracemalloc.start()
         try:
             with pytest.raises(CapExceededError,
-                               match=f"^n {FAMILY_MAX_N + 1} beyond configured "
-                                     f"maximum {FAMILY_MAX_N}$"):
-                counterexample_family(FAMILY_MAX_N + 1)
+                               match=f"^n {CAPS['n'] + 1} beyond configured "
+                                     f"maximum {CAPS['n']}$"):
+                counterexample_family(CAPS["n"] + 1)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()

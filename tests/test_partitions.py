@@ -5,10 +5,8 @@ from math import factorial
 import pytest
 from hypothesis import given, strategies as st
 
-from wgmono.errors import CapExceededError, PartitionError
-from wgmono.genfun import FAMILY_MAX_N
+from wgmono.errors import CAPS, CapExceededError, PartitionError
 from wgmono.partitions import (
-    MAX_PARSE_DEGREE,
     Partition,
     class_size,
     conjugate,
@@ -95,11 +93,12 @@ class TestPartitionType:
         assert self.rejected_parse_peak(20, 20) < 1 << 20
 
     def test_parse_is_bounded_by_default(self):
-        assert self.rejected_parse_peak(MAX_PARSE_DEGREE) < 1 << 20
+        assert self.rejected_parse_peak(CAPS["parse_degree"]) < 1 << 20
 
     def test_default_bound_is_the_largest_family_degree(self):
-        assert MAX_PARSE_DEGREE == 3 * FAMILY_MAX_N + 1
-        assert Partition.parse(f"1^{MAX_PARSE_DEGREE}").degree == MAX_PARSE_DEGREE
+        cap = CAPS["parse_degree"]
+        assert cap == 3 * CAPS["n"] + 1
+        assert Partition.parse(f"1^{cap}").degree == cap
 
     @given(partitions_st)
     def test_text_round_trip(self, p):
