@@ -13,9 +13,7 @@ shapes always share a mask.
 By the Murnaghan-Nakayama rule the vector sum_lambda chi(lambda, alpha)
 s_lambda is p_alpha = p_a1 ... p_ak applied to the empty shape, one part
 at a time, and multiplying by p_r adds every border strip of size r with
-its sign.  The classes are visited in sorted order with a stack of
-prefix vectors, so classes that share their smaller parts share that
-work.  The vector of size n is indexed by the shapes of n in
+its sign.  The vector of size n is indexed by the shapes of n in
 ``lex_list(n)`` order, and only the sizes some prefix of a class reaches
 are enumerated: the column of (1, 1, 18) visits the shapes of 1, 2 and
 20 only.
@@ -25,6 +23,19 @@ sum_lambda chi(lambda, alpha) w_lambda is p_alpha^perp applied to
 sum_lambda w_lambda s_lambda, and p_r^perp removes every border strip
 of size r.  ``class_sums`` reads the addition tables of ``_strip_moves``
 as that removal step, with the largest parts removed first.
+
+Both DPs run on one walk, ``_prefix_walk``: it visits the distinct keys
+in sorted order with a stack of (state, vector) pairs, so keys that
+share a prefix share its steps.  Each user supplies its keys, its root
+and its step:
+
+- ``class_vectors``: the classes, from (0, [1]); ``_push`` adds a part
+  as border strips, smallest part first;
+- ``class_sums``: the reversed parts, from (d, weights); ``_pull``
+  removes a part's border strips, largest part first;
+- ``genfun.series_coeff``: the support shapes' rows from the top, from
+  (0, [1, 0, ..., 0]); row i multiplies the content series by
+  1 / (1 - c*x) for its contents c = -i .. part - 1 - i.
 
 A strip table depends only on (n, r), so the tables live in one store
 for the life of the process: each is built on first use, kept as tuples
@@ -40,6 +51,8 @@ chooses a table or this kernel, and reads it for ``eval`` and ``coeff``.
 """
 
 from __future__ import annotations
+
+from operator import eq
 
 from .partitions import _check_cap, as_partition
 
@@ -121,11 +134,55 @@ def _moves(n: int, r: int) -> tuple[tuple[tuple, tuple], ...]:
     return table
 
 
-def _common_prefix(a: tuple, b: tuple) -> int:
-    k = 0
-    while k < len(a) and k < len(b) and a[k] == b[k]:
-        k += 1
-    return k
+def _prefix_walk(keys, start, step):
+    """Yield (key, vector) for every distinct key, in sorted order.
+
+    A key is a tuple of parts.  The walk keeps a stack of (state, vector)
+    pairs, ``start`` at its root, and the pair after the first k parts of
+    the previous key at depth k: each key drops the pairs past the prefix
+    it shares with the previous one, then pushes ``step(state, vector,
+    part)`` for each of its remaining parts, so keys that share a prefix
+    share its steps.  ``step`` must return a new pair and change nothing
+    it is given.
+    """
+    stack = [start]
+    prev: tuple = ()
+    for key in sorted(set(keys)):
+        # the shared prefix ends at the first unequal part; prev < key, so if
+        # none differs prev is the prefix
+        k = [*map(eq, prev, key), False].index(False)
+        del stack[k + 1:]
+        state, vector = stack[-1]
+        for part in key[k:]:
+            state, vector = step(state, vector, part)
+            stack.append((state, vector))
+        prev = key
+        yield key, vector
+
+
+def _push(n: int, vec: list[int], r: int) -> tuple[int, list[int]]:
+    """Multiply by p_r: add every border strip of size r to the shapes of n."""
+    out = [0] * len(_shapes(n + r))
+    for c, (plus, minus) in zip(vec, _moves(n, r)):
+        if c:
+            for i in plus:
+                out[i] += c
+            for i in minus:
+                out[i] -= c
+    return n + r, out
+
+
+def _pull(n: int, vec: list[int], r: int) -> tuple[int, list[int]]:
+    """Apply p_r^perp: remove every border strip of size r from the shapes of n."""
+    out = []
+    for plus, minus in _moves(n - r, r):
+        s = 0
+        for i in plus:
+            s += vec[i]
+        for i in minus:
+            s -= vec[i]
+        out.append(s)
+    return n - r, out
 
 
 def class_vectors(alphas):
@@ -136,24 +193,7 @@ def class_vectors(alphas):
     classes of one degree is ``lex_list(d)`` order.  The vectors are
     never changed after they are yielded.
     """
-    stack = [[1]]  # stack[k]: vector of the first k parts of prev
-    prev: tuple[int, ...] = ()
-    for alpha in sorted({tuple(a) for a in alphas}):
-        k = _common_prefix(prev, alpha)
-        del stack[k + 1:]
-        n = sum(alpha[:k])
-        for r in alpha[k:]:
-            vec = [0] * len(_shapes(n + r))
-            for c, (plus, minus) in zip(stack[-1], _moves(n, r)):
-                if c:
-                    for i in plus:
-                        vec[i] += c
-                    for i in minus:
-                        vec[i] -= c
-            stack.append(vec)
-            n += r
-        prev = alpha
-        yield alpha, stack[-1]
+    return _prefix_walk((tuple(a) for a in alphas), (0, [1]), _push)
 
 
 def class_sums(classes, weights) -> list[int]:
@@ -165,33 +205,13 @@ def class_sums(classes, weights) -> list[int]:
     part r removes every border strip of size r, each with its sign, so
     u[mu] is the signed sum of v[lam] over the shapes lam one r-strip
     above mu (the addition table of ``_strip_moves``, read as a pull).
-    Parts are removed largest first and the classes visited in order of
-    their reversed parts, so classes that share their largest parts share
+    The walk's keys are the reversed parts, so the largest parts are
+    removed first and classes that share their largest parts share
     those vectors.
     """
-    classes = [tuple(a) for a in classes]
-    sums = [0] * len(classes)
-    stack = [list(weights)]  # stack[k]: after removing the k largest parts of prev
-    prev: tuple[int, ...] = ()
-    for j in sorted(range(len(classes)), key=lambda j: classes[j][::-1]):
-        parts = classes[j][::-1]
-        k = _common_prefix(prev, parts)
-        del stack[k + 1:]
-        n = sum(parts[k:])
-        for r in parts[k:]:
-            v, u = stack[-1], []
-            n -= r
-            for plus, minus in _moves(n, r):
-                s = 0
-                for i in plus:
-                    s += v[i]
-                for i in minus:
-                    s -= v[i]
-                u.append(s)
-            stack.append(u)
-        sums[j] = stack[-1][0]
-        prev = parts
-    return sums
+    keys = [tuple(a)[::-1] for a in classes]
+    sums = dict(_prefix_walk(keys, (sum(keys[0]) if keys else 0, weights), _pull))
+    return [sums[key][0] for key in keys]
 
 
 def compute_columns(masks: list[int], alphas: list[tuple[int, ...]]) -> list[list[int]]:

@@ -23,16 +23,22 @@ importing ``argparse``, and ``build_parser`` makes from it the
 installed ``wgmono`` script.  It calls ``gc.freeze()`` before ``main``:
 at exit the interpreter runs full collections over every object alive,
 and most were made at start-up, so freezing them moves them where no
-collection looks.  On a 2-vCPU machine (Python 3.11.7) one ``eval``
-request is about 31 ms of interpreter and ``site``, 10 ms of imports,
-1 ms of work, then 6 ms of exit, which the freeze cuts to 2 ms; ``-X
-importtime`` shows the imports but not the exit.  Most of the 31 ms is
-``site``, which there imports ``certifi`` from a ``.pth`` file
-(``python -S -c pass`` 7 ms, ``python -c pass`` 34 ms), and the objects
-it leaves are most of what the exit walks, so with a lighter ``site``
-the saving is smaller.  The freeze stays out of ``main`` and the
-library: the tests and the benchmark call ``main`` in long-lived
-processes, where frozen cyclic garbage would never be freed.
+collection looks.  On a 2-vCPU machine (Python 3.11.7, medians of 31
+fresh processes under ``PYTHONDONTWRITEBYTECODE=1``, as the benchmark
+runs them) one ``eval --alpha 1,12`` request is about 41 ms of
+interpreter and ``site``, 14 ms of imports, under 1 ms of work, then
+9 ms of exit, which the freeze cuts to 3 ms; ``-X importtime`` shows
+the imports but not the exit.  About 10 of those 14 ms are compiling
+the package's own modules, since nothing may write their bytecode: the
+same imports from a copy of the tree with its bytecode compiled take
+5 ms.  So compiling is most of the package's share of a request, and
+the work itself is the least of it.  Most of the 41 ms is ``site``,
+which there imports ``certifi`` from a ``.pth`` file (``python -S -c
+pass`` 11 ms, ``python -c pass`` 48-54 ms), and the objects it leaves
+are most of what the exit walks, so with a lighter ``site`` the saving
+is smaller.  The freeze stays out of ``main`` and the library: the tests
+and the benchmark call ``main`` in long-lived processes, where frozen
+cyclic garbage would never be freed.
 """
 
 from __future__ import annotations
@@ -194,11 +200,11 @@ def _cmd_eval(args) -> int:
 
 
 def _cmd_coeff(args) -> int:
-    from .genfun import series_coeff
+    from .genfun import _decimal, series_coeff
     from .partitions import Partition
 
     alpha = Partition.parse(args.alpha, CAPS["degree"])
-    count = str(series_coeff(alpha, args.r))
+    count = _decimal(series_coeff(alpha, args.r))
     _print_record(args.format, {"alpha": alpha, "r": args.r, "count": count}, count)
     return 0
 

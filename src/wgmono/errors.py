@@ -24,8 +24,9 @@ CAPS = {
     # coeff --r.  From r = 14,300 on, no count at degree 3 or more prints
     # under Python's 4,300-digit limit.  coeff --alpha 2 --r 15000: 78 ms,
     # 14 MB.  The budget is breached below the cap: a count on the support
-    # at large r takes seconds (coeff --alpha 1^20 --r 2000: 7.8 s) or ends
-    # in Python's digit-limit text (coeff --alpha 1^8,2 --r 14299: 7.9 s).
+    # at large r takes seconds (coeff --alpha 1^20 --r 2000: 2.7 s, 30 MB),
+    # or is refused by the digit check at the output only after the work
+    # (coeff --alpha 1^8,2 --r 14299: 4.5 s, 261 MB).
     "r": 15_000,
     # family --n: the largest n whose ratio Cat_n / 2^n still prints under
     # that limit.  family --n 7156: 92 ms, 15 MB, traced 0.2 MiB (budget

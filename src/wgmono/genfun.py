@@ -24,6 +24,16 @@ functions that build or check one import ``fractions`` (and ``numbers``)
 themselves, so ``series_coeff``, which returns an integer, loads neither
 (with ``decimal``, which ``fractions`` imports, about 2 ms of start-up).
 
+The series coefficient at x^r is sum chi * f^lambda * h_r(contents) / d!.
+Row i from the top of a shape holds the contents -i .. lambda_i - 1 - i,
+whatever lies below it, so ``series_coeff`` builds the content series
+one row at a time on the kernel's one prefix walk
+(``_mnkernel_py._prefix_walk``, which also runs the column DP and the
+class-sum DP): its keys are the rows of the shapes on the support, from
+the top; its root is (0, [1, 0, ..., 0]), the series of the empty shape
+to x^r; its step multiplies in 1 / (1 - c*x) for each content c of
+the next row.  Shapes that share their top rows share those series.
+
 Every size cap is read from ``errors.CAPS``: the degree through
 ``partitions._check_cap``, r in ``series_coeff`` and n in
 ``counterexample_family``, each checked before any big-integer work.
@@ -33,13 +43,15 @@ point x = 1/d into the compact fractions the scanner reports.
 
 Text form: rationals are ``"N/D"`` in lowest terms with ``D > 0``
 (``format_rat`` always prints the denominator, so the integer one
-renders as ``"1/1"``).
+renders as ``"1/1"``).  A number with more digits than the interpreter
+converts to text is refused there, with ``CapExceededError``.
 """
 
 from __future__ import annotations
 
 import math
 import re
+import sys
 from operator import mul
 from typing import TYPE_CHECKING
 
@@ -70,8 +82,24 @@ def parse_rat(text: str) -> Fraction:
     return Fraction(num, den)
 
 
+def _decimal(n: int) -> str:
+    """n in decimal, or ``CapExceededError`` when it has more digits than the
+    interpreter converts to text (``sys.get_int_max_str_digits()``).
+
+    The one check at the output edge, for ``format_rat`` and ``coeff``'s
+    count.  An interpreter without the limit, or with it off (0), refuses
+    nothing.  A number of at most 3.3 bits per allowed digit is below
+    10^limit, so only a longer one is compared with the power.
+    """
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    if limit and n.bit_length() * 10 > limit * 33 and abs(n) >= 10 ** limit:
+        raise CapExceededError(
+            f"result has more than {limit} digits, the interpreter's int-to-str limit")
+    return str(n)
+
+
 def format_rat(q: Fraction) -> str:
-    return f"{q.numerator}/{q.denominator}"
+    return f"{_decimal(q.numerator)}/{_decimal(q.denominator)}"
 
 
 def catalan(n: int) -> int:
@@ -163,12 +191,6 @@ def _support(a: Partition, table: CharacterTable | None) -> list[tuple[int, Part
     return [(chi, lam) for chi, lam in zip(column, shapes) if chi]
 
 
-def _contents(lam) -> list[int]:
-    """Contents of a stored-form shape: part j of k is row k - 1 - j from the top."""
-    k = len(lam)
-    return [c for j, part in enumerate(lam) for c in range(j + 1 - k, j + 1 - k + part)]
-
-
 def eval_M(alpha, x, table: CharacterTable | None = None) -> Fraction:
     """Exact value of the walk generating function at rational x.
 
@@ -189,6 +211,16 @@ def eval_M(alpha, x, table: CharacterTable | None = None) -> Fraction:
     return scale * sum(map(mul, chis, weights))
 
 
+def _times_inverses(series: list[int], values) -> list[int]:
+    """``series`` times the product of 1 / (1 - v*x) over the values, to the
+    same length, as a new list: one pass of integer additions per value."""
+    series = list(series)
+    for v in values:
+        for j in range(1, len(series)):
+            series[j] += v * series[j - 1]
+    return series
+
+
 def complete_homogeneous(values, r: int) -> int:
     """Sum of all degree-r monomials over the multiset, with repetition.
 
@@ -197,23 +229,21 @@ def complete_homogeneous(values, r: int) -> int:
     """
     if r < 0:
         raise ValueError(f"negative degree {r}")
-    acc = [1] + [0] * r
-    for v in values:
-        for j in range(1, r + 1):
-            acc[j] += v * acc[j - 1]
-    return acc[r]
+    return _times_inverses([1] + [0] * r, values)[r]
 
 
 def series_coeff(alpha, r: int, table: CharacterTable | None = None) -> int:
     """Number of r-step monotone walks reaching cycle type alpha.
 
     Extracted from the character sum by expanding each shape's
-    1 / prod(1 - c*x) into complete homogeneous sums of the contents, read
-    from the stored form (``_contents``, as in ``_weights``); with
-    d!/H_lambda = f^lambda the sum is an integer over d!.  A sum that is
-    not a non-negative multiple of d! can only come from a wrong table, and
-    raises ``TableVerificationError`` (also under ``python -O``).  r is
-    capped at ``errors.CAPS["r"]`` before any column or list is built.
+    1 / prod(1 - c*x) to x^r: the count is sum chi * f^lambda * h_r(contents)
+    over d!, with d!/H_lambda = f^lambda, and the series are built one row
+    at a time from the top on the kernel's prefix walk (module docstring),
+    so shapes that share their top rows share those rows' series.  A sum
+    that is not a non-negative multiple of d! can only come from a wrong
+    table, and raises ``TableVerificationError`` (also under ``python
+    -O``).  r is capped at ``errors.CAPS["r"]`` before any column or list
+    is built.
 
     The degree is checked first (the cap, or the table's degree).  Without
     a table the column is then read only when r is on the support: a walk
@@ -230,9 +260,13 @@ def series_coeff(alpha, r: int, table: CharacterTable | None = None) -> int:
     gap = r - vanishing_order(a)
     if table is None and (gap < 0 or gap % 2):
         return 0
-    total = 0
-    for chi, lam in _support(a, table):
-        total += chi * dimension(lam) * complete_homogeneous(_contents(lam), r)
+    from ._mnkernel_py import _prefix_walk
+
+    weight = {lam.rows: chi * dimension(lam) for chi, lam in _support(a, table)}
+    # row i from the top multiplies in its contents -i .. part - 1 - i
+    walk = _prefix_walk(weight, (0, [1] + [0] * r), lambda i, series, part: (
+        i + 1, _times_inverses(series, range(-i, part - i))))
+    total = sum(weight[rows] * series[r] for rows, series in walk)
     fact = math.factorial(a.degree)
     count, rem = divmod(total, fact)
     if rem or count < 0:

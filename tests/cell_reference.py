@@ -1,6 +1,7 @@
 """Hook lengths and contents cell by cell: the tests' reference for the
-first-column hook product (``partitions._hook_product``) and the
-stored-form contents (``genfun._contents``) the package computes."""
+first-column hook product (``partitions._hook_product``), the content
+factors of ``genfun._weights`` and the row-by-row content series of
+``genfun.series_coeff``."""
 
 from bisect import bisect_right
 from collections import namedtuple

@@ -240,6 +240,31 @@ class TestFamily:
         assert custom[0] == 0
 
 
+class TestDigitLimit:
+    """A number with more digits than the interpreter converts is the
+    package's one line, checked before anything is printed."""
+
+    BIG_X = "1/1" + "0" * 400  # parses under 640 digits; the values do not print
+
+    @pytest.mark.parametrize("argv", [
+        ["coeff", "--alpha", "3", "--r", "2500"],  # a 753-digit count
+        ["eval", "--alpha", "1,2", "--x", BIG_X],
+        ["eval", "--alpha", "1,2", "--x", BIG_X, "--format", "json"],
+        ["scan", "--d", "3", "--x", BIG_X, "--format", "json"],
+        ["scan", "--d", "3", "--x", BIG_X, "--format", "csv"],
+    ], ids=["coeff", "eval", "eval json", "scan json", "scan csv"])
+    def test_refused_in_one_line(self, capsys, digit_limit, argv):
+        assert run_cli(capsys, *argv) == (
+            1, "", f"error: result has more than {digit_limit} digits, "
+                   "the interpreter's int-to-str limit\n")
+
+    def test_below_the_limit_prints(self, capsys, digit_limit):
+        code, out, err = run_cli(capsys, "coeff", "--alpha", "1,2", "--r", "2001")
+        assert (code, err) == (0, "") and len(out) == 603 + 1
+        code, out, err = run_cli(capsys, "scan", "--d", "3", "--x", self.BIG_X)
+        assert (code, err) == (0, "") and f"x {self.BIG_X}\n" in out
+
+
 def cap_cases():
     """(cap, a request at the bound, the request one past it, its refusal)
     for every cap of ``errors.CAPS``, each read from the table."""

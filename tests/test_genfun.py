@@ -1,5 +1,7 @@
+import functools
 import itertools
 import os
+import random
 import subprocess
 import sys
 import tracemalloc
@@ -178,8 +180,7 @@ class TestIntegerPath:
 
     @pytest.mark.parametrize("d", range(11, 21))
     def test_weights_match_cell_stats(self, d):
-        # the first-column hook formula against hooks and contents cell by cell,
-        # and the stored-form contents series_coeff reads against the cells'
+        # the first-column hook formula against hooks and contents cell by cell
         shapes = lex_list(d)
         stats = [cell_stats(lam) for lam in shapes]
         for x in (Fraction(1, d), Fraction(-3, 7), Fraction(5, 3)):
@@ -189,8 +190,6 @@ class TestIntegerPath:
                                   * prod(q - c * p for c in cells.contents))
                          for cells in stats]
             assert [scale * w for w in weights] == reference
-        for lam, cells in zip(shapes, stats):
-            assert sorted(genfun._contents(lam)) == list(cells.contents), lam
 
     @pytest.mark.parametrize("d", range(1, 11))
     def test_scan_and_eval_match_reference(self, d, tables):
@@ -292,6 +291,22 @@ class TestNormalizedValue:
         assert normalizer(d) == Fraction(factorial(d) ** 2, d ** d)
 
 
+@functools.cache
+def h_of_cells(lam, r):
+    """h_r of a shape's contents, taken cell by cell: the series' reference."""
+    return complete_homogeneous(cell_stats(lam).contents, r)
+
+
+def reference_count(alpha, r, column):
+    """sum chi * f^lambda * h_r(contents) over d!, over a column in lex order."""
+    d = sum(alpha)
+    total = sum(chi * dimension(lam) * h_of_cells(lam, r)
+                for chi, lam in zip(column, lex_list(d)) if chi)
+    count, rem = divmod(total, factorial(d))
+    assert rem == 0 and count >= 0, (alpha, r)
+    return count
+
+
 class TestSeriesCoeff:
     def test_three_cycle_minimal_walks(self, tables):
         assert series_coeff((3,), 2, tables.get(3)) == 2  # Cat_2
@@ -309,11 +324,8 @@ class TestSeriesCoeff:
         t = tables.get(d)
         for alpha in t.order:
             r = vanishing_order(alpha) + 2
-            total = sum(t.chi(lam, alpha) * dimension(lam)
-                        * complete_homogeneous(cell_stats(lam).contents, r)
-                        for lam in t.order)
-            count, rem = divmod(total, factorial(d))
-            assert rem == 0 and count > 0, alpha
+            count = reference_count(alpha, r, t.column(alpha))
+            assert count > 0, alpha
             assert series_coeff(alpha, r) == series_coeff(alpha, r, t) == count, alpha
 
     def test_negative_count_raises(self, tables):
@@ -352,6 +364,68 @@ class TestSeriesCoeff:
         assert run.returncode == 1
         assert run.stderr.splitlines()[-1] == \
             f"wgmono.errors.TableVerificationError: {message}"
+
+
+class TestSeriesReference:
+    """The row-by-row series against each shape's h_r computed on its own,
+    on and off the support."""
+
+    @pytest.mark.parametrize("d", range(1, 11))
+    def test_every_class_to_r_14(self, d, tables):
+        t = tables.get(d)
+        for alpha in t.order:
+            for r in range(15):
+                assert series_coeff(alpha, r) == reference_count(
+                    alpha, r, t.column(alpha)), (alpha, r)
+
+    def test_sampled_classes_at_d_20_to_r_40(self):
+        # per class one seeded length on the support, where the count is not 0
+        rng = random.Random(20)
+        for alpha in rng.sample(lex_list(20), 20):
+            r = rng.randrange(vanishing_order(alpha), 41, 2)
+            column = _mnkernel_py.character_column(alpha)
+            assert series_coeff(alpha, r) == reference_count(alpha, r, column) > 0, \
+                (alpha, r)
+
+
+def prefixes(keys):
+    """The distinct nonempty prefixes of the keys."""
+    return {tuple(key[:k]) for key in keys for k in range(1, len(key) + 1)}
+
+
+class TestPrefixWalk:
+    """Each user of ``_mnkernel_py._prefix_walk`` takes one step per distinct
+    nonempty prefix of its keys: a prefix keys share is walked once."""
+
+    @pytest.fixture
+    def steps(self, monkeypatch):
+        taken = []
+        walk = _mnkernel_py._prefix_walk
+
+        def counted(keys, start, step):
+            def counted_step(state, vector, part):
+                taken.append(part)
+                return step(state, vector, part)
+
+            return walk(keys, start, counted_step)
+
+        monkeypatch.setattr(_mnkernel_py, "_prefix_walk", counted)
+        return taken
+
+    @pytest.mark.parametrize("d", range(1, 13))
+    def test_one_step_per_distinct_prefix(self, d, steps, tables):
+        order = lex_list(d)
+        list(_mnkernel_py.class_vectors(order))  # parts smallest first
+        assert len(steps) == len(prefixes(order))
+        steps.clear()
+        _mnkernel_py.class_sums(order, [1] * len(order))  # largest first
+        assert len(steps) == len(prefixes(a[::-1] for a in order))
+        t = tables.get(d)  # the table's column: the only walk is the series'
+        for alpha in order:
+            steps.clear()
+            series_coeff(alpha, vanishing_order(alpha) + 2, t)
+            rows = [lam.rows for lam in order if t.chi(lam, alpha)]  # top row first
+            assert len(steps) == len(prefixes(rows)), alpha
 
 
 class TestVanishingOrder:
@@ -439,7 +513,8 @@ class TestCounterexampleFamily:
         ratio = counterexample_family(CAPS["n"])[2]
         assert format_rat(ratio).startswith(str(ratio.numerator))
         n = CAPS["n"] + 1
-        with pytest.raises(ValueError, match="integer string conversion"):
+        with pytest.raises(CapExceededError, match="^result has more than "
+                           f"{sys.get_int_max_str_digits()} digits, "):
             format_rat(Fraction(catalan(n), 2 ** n))
 
     def test_beyond_cap_raises_before_big_integers(self):
@@ -492,6 +567,21 @@ class TestSerialization:
     def test_format_rat_keeps_denominator(self):
         assert format_rat(Fraction(1)) == "1/1"
         assert format_rat(Fraction(-3, 7)) == "-3/7"
+
+    def test_digit_limit_refused_at_its_bound(self, digit_limit):
+        # as many digits as the interpreter converts, and not one more
+        refusal = (f"^result has more than {digit_limit} digits, "
+                   "the interpreter's int-to-str limit$")
+        top = 10 ** digit_limit - 1
+        assert format_rat(Fraction(-top, 7)) == f"{-top}/7"
+        assert format_rat(Fraction(1, top)) == f"1/{top}"
+        for q in (Fraction(top + 1), Fraction(-top - 1), Fraction(1, top + 1)):
+            with pytest.raises(CapExceededError, match=refusal):
+                format_rat(q)
+
+    def test_no_digit_limit_refuses_nothing(self, digit_limit):
+        sys.set_int_max_str_digits(0)
+        assert format_rat(Fraction(10 ** 5000)) == "1" + "0" * 5000 + "/1"
 
     @pytest.mark.parametrize("text,expected", [
         ("3/4", Fraction(3, 4)), ("-3/4", Fraction(-3, 4)),
